@@ -19,7 +19,8 @@ reachableBlockFlags(const Function &fn)
     std::vector<unsigned char> reachable(fn.numBlocks(), 0);
     if (fn.isDeclaration())
         return reachable;
-    std::vector<const BasicBlock *> worklist = {fn.entry()};
+    support::SmallVector<const BasicBlock *, 32> worklist;
+    worklist.push_back(fn.entry());
     reachable[fn.entry()->indexInFn()] = 1;
     while (!worklist.empty()) {
         const BasicBlock *block = worklist.back();
@@ -31,18 +32,6 @@ reachableBlockFlags(const Function &fn)
                 worklist.push_back(succ);
             }
         }
-    }
-    return reachable;
-}
-
-std::unordered_set<const BasicBlock *>
-reachableBlocks(const Function &fn)
-{
-    std::vector<unsigned char> flags = reachableBlockFlags(fn);
-    std::unordered_set<const BasicBlock *> reachable;
-    for (const auto &block : fn.blocks()) {
-        if (flags[block->indexInFn()])
-            reachable.insert(block.get());
     }
     return reachable;
 }
@@ -85,7 +74,8 @@ reversePostorder(const Function &fn)
 }
 
 unsigned
-removeUnreachableBlocks(Function &fn)
+removeUnreachableBlocks(
+    Function &fn, const std::function<void(const BasicBlock &)> &on_doomed)
 {
     if (fn.isDeclaration())
         return 0;
@@ -101,12 +91,18 @@ removeUnreachableBlocks(Function &fn)
     }
     if (doomed.empty())
         return 0;
+    if (on_doomed) {
+        for (const BasicBlock *dead : doomed)
+            on_doomed(*dead);
+    }
 
-    for (const auto &block : fn.blocks()) {
-        if (!reachable[block->indexInFn()])
-            continue;
-        for (BasicBlock *dead : doomed)
-            block->removePhiIncomingFor(dead);
+    // Phi incomings name predecessors, so only the reachable
+    // successors of doomed blocks can hold entries to drop.
+    for (BasicBlock *dead : doomed) {
+        for (BasicBlock *succ : dead->successors()) {
+            if (reachable[succ->indexInFn()])
+                succ->removePhiIncomingFor(dead);
+        }
     }
 
     // Values defined in doomed blocks may still be referenced by

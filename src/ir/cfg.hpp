@@ -11,7 +11,7 @@
  */
 #pragma once
 
-#include <unordered_set>
+#include <functional>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -40,6 +40,8 @@ class PredecessorMap {
         return at(block);
     }
 
+    bool operator==(const PredecessorMap &) const = default;
+
   private:
     std::vector<support::SmallVector<BasicBlock *, 4>> lists_;
 };
@@ -50,9 +52,6 @@ predecessorMap(const Function &fn)
 {
     return PredecessorMap(fn);
 }
-
-/** Blocks reachable from entry. */
-std::unordered_set<const BasicBlock *> reachableBlocks(const Function &fn);
 
 /** Per-block reachable-from-entry flags, indexed by indexInFn(). */
 std::vector<unsigned char> reachableBlockFlags(const Function &fn);
@@ -65,8 +64,12 @@ std::vector<BasicBlock *> reversePostorder(const Function &fn);
  * This is the *mechanical* part of unreachable-code elimination that
  * every pipeline is allowed to use; making blocks unreachable in the
  * first place is what the optimizations under test compete on.
+ * @p on_doomed, when set, sees each doomed block (in block order)
+ * before anything is erased.
  * @return number of blocks removed.
  */
-unsigned removeUnreachableBlocks(Function &fn);
+unsigned removeUnreachableBlocks(
+    Function &fn,
+    const std::function<void(const BasicBlock &)> &on_doomed = nullptr);
 
 } // namespace dce::ir

@@ -6,12 +6,13 @@
 
 namespace dce::ir {
 
+namespace {
+
+/** Copy of @p instr with everything but its value operands. */
 InstrPtr
-cloneInstr(const Instr &instr, Module &module)
+cloneShell(const Instr &instr, Module &module)
 {
     InstrPtr copy = module.newInstr(instr.opcode(), instr.type());
-    for (Value *operand : instr.operands())
-        copy->addOperand(operand);
     copy->blockOperands() = instr.blockOperands();
     copy->binOp = instr.binOp;
     copy->cmpPred = instr.cmpPred;
@@ -24,6 +25,17 @@ cloneInstr(const Instr &instr, Module &module)
     copy->caseValues = instr.caseValues;
     if (!copy->type().isVoid())
         copy->setId(module.nextValueId());
+    return copy;
+}
+
+} // namespace
+
+InstrPtr
+cloneInstr(const Instr &instr, Module &module)
+{
+    InstrPtr copy = cloneShell(instr, module);
+    for (Value *operand : instr.operands())
+        copy->addOperand(operand);
     return copy;
 }
 
@@ -89,30 +101,35 @@ cloneModule(const Module &module)
             copy->addBlock(block->name());
     }
 
-    // Clone instructions (operands still point into the source module).
-    // Void instructions are never operands, so only value-producing
-    // ones (which all carry unique ids) enter the map.
+    // Clone instructions without their value operands, so the source
+    // module is only read. Void instructions are never operands, so
+    // only value-producing ones (which all carry unique ids) enter the
+    // map.
     for (const auto &fn : module.functions()) {
         Function *dest_fn = fn_map.at(fn.get());
         for (size_t b = 0; b < fn->blocks().size(); ++b) {
             BasicBlock *dest = dest_fn->blocks()[b].get();
             for (const auto &instr : fn->blocks()[b]->instrs()) {
-                Instr *copied =
-                    dest->append(cloneInstr(*instr, *clone));
+                Instr *copied = dest->append(cloneShell(*instr, *clone));
                 if (!instr->type().isVoid())
                     value_map[instr->id()] = copied;
             }
         }
     }
 
-    // Remap every reference into the clone. Constants are interned
-    // lazily in the clone's pool; everything else was mapped above.
+    // Add every operand, remapped into the clone. Constants are
+    // interned lazily in the clone's pool; everything else was mapped
+    // above.
     for (const auto &fn : module.functions()) {
         Function *dest_fn = fn_map.at(fn.get());
-        for (const auto &dest_block : dest_fn->blocks()) {
-            for (const auto &instr : dest_block->instrs()) {
-                for (size_t i = 0; i < instr->numOperands(); ++i) {
-                    Value *operand = instr->operand(i);
+        for (size_t b = 0; b < fn->blocks().size(); ++b) {
+            const auto &source = fn->blocks()[b]->instrs();
+            const auto &copies = dest_fn->blocks()[b]->instrs();
+            for (size_t k = 0; k < source.size(); ++k) {
+                const Instr &original = *source[k];
+                Instr *instr = copies[k].get();
+                for (size_t i = 0; i < original.numOperands(); ++i) {
+                    Value *operand = original.operand(i);
                     Value *mapped;
                     switch (operand->valueKind()) {
                       case ValueKind::Param:
@@ -137,7 +154,7 @@ cloneModule(const Module &module)
                         break;
                     }
                     assert(mapped && "unmapped operand in clone");
-                    instr->setOperand(i, mapped);
+                    instr->addOperand(mapped);
                 }
                 for (BasicBlock *&target : instr->blockOperands()) {
                     target =

@@ -7,18 +7,17 @@
 
 namespace dce::ir {
 
-DominatorTree::DominatorTree(const Function &fn)
+DominatorTree::DominatorTree(const Function &fn, const PredecessorMap &preds)
 {
     support::TraceSpan span("domtree", "analysis");
     idomOf_.assign(fn.numBlocks(), nullptr);
     rpoIndexOf_.assign(fn.numBlocks(), kUnreachable);
+    childStart_.assign(fn.numBlocks() + 1, 0);
     if (fn.isDeclaration())
         return;
     rpo_ = reversePostorder(fn);
     for (size_t i = 0; i < rpo_.size(); ++i)
         rpoIndexOf_[rpo_[i]->indexInFn()] = static_cast<uint32_t>(i);
-
-    PredecessorMap preds(fn);
 
     // Cooper-Harvey-Kennedy: iterate to a fixed point over RPO.
     const BasicBlock *entry = fn.entry();
@@ -63,6 +62,20 @@ DominatorTree::DominatorTree(const Function &fn)
         }
     }
     idomOf_[entry->indexInFn()] = nullptr;
+
+    // Children lists, bucketed by parent in one flat array.
+    for (BasicBlock *block : rpo_) {
+        if (const BasicBlock *parent = idom(block))
+            ++childStart_[parent->indexInFn() + 1];
+    }
+    for (size_t i = 1; i < childStart_.size(); ++i)
+        childStart_[i] += childStart_[i - 1];
+    childList_.resize(childStart_.back());
+    std::vector<uint32_t> next(childStart_.begin(), childStart_.end() - 1);
+    for (BasicBlock *block : rpo_) {
+        if (const BasicBlock *parent = idom(block))
+            childList_[next[parent->indexInFn()]++] = block;
+    }
 }
 
 bool

@@ -336,7 +336,9 @@ BasicBlock::phis() const
 void
 BasicBlock::replacePhiIncomingBlock(BasicBlock *from, BasicBlock *to)
 {
-    for (Instr *phi : phis()) {
+    for (const auto &phi : instrs_) {
+        if (phi->opcode() != Opcode::Phi)
+            break;
         for (BasicBlock *&incoming : phi->blockOperands()) {
             if (incoming == from)
                 incoming = to;
@@ -347,7 +349,9 @@ BasicBlock::replacePhiIncomingBlock(BasicBlock *from, BasicBlock *to)
 void
 BasicBlock::removePhiIncomingFor(BasicBlock *pred)
 {
-    for (Instr *phi : phis()) {
+    for (const auto &phi : instrs_) {
+        if (phi->opcode() != Opcode::Phi)
+            break;
         for (size_t i = phi->blockOperands().size(); i-- > 0;) {
             if (phi->blockOperands()[i] == pred)
                 phi->removeIncoming(i);

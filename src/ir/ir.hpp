@@ -421,6 +421,10 @@ class BasicBlock {
 
     /** All phis sit at the top of a block. */
     std::vector<Instr *> phis() const;
+    bool hasPhis() const
+    {
+        return !instrs_.empty() && instrs_.front()->opcode() == Opcode::Phi;
+    }
     /** Update phi bookkeeping when predecessor @p from becomes @p to. */
     void replacePhiIncomingBlock(BasicBlock *from, BasicBlock *to);
     /** Remove incoming entries for a predecessor that no longer

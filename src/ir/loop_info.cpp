@@ -7,19 +7,22 @@
 
 namespace dce::ir {
 
-std::vector<BasicBlock *>
-Loop::exitBlocks() const
+namespace {
+
+bool
+byBlockIndex(const BasicBlock *a, const BasicBlock *b)
 {
-    std::vector<BasicBlock *> exits;
-    for (BasicBlock *block : blocks) {
-        for (BasicBlock *succ : block->successors()) {
-            if (!contains(succ) &&
-                std::find(exits.begin(), exits.end(), succ) == exits.end()) {
-                exits.push_back(succ);
-            }
-        }
-    }
-    return exits;
+    return a->indexInFn() < b->indexInFn();
+}
+
+} // namespace
+
+bool
+Loop::contains(const BasicBlock *block) const
+{
+    auto it = std::lower_bound(blocks.begin(), blocks.end(), block,
+                               byBlockIndex);
+    return it != blocks.end() && *it == block;
 }
 
 BasicBlock *
@@ -40,66 +43,77 @@ Loop::preheader(const PredecessorMap &preds) const
     return candidate;
 }
 
-unsigned
-Loop::depth() const
-{
-    unsigned d = 1;
-    for (const Loop *p = parent; p; p = p->parent)
-        ++d;
-    return d;
-}
-
-LoopInfo::LoopInfo(const Function &fn, const DominatorTree &domtree)
+LoopInfo::LoopInfo(const Function &fn, const DominatorTree &domtree,
+                   const PredecessorMap &preds)
 {
     support::TraceSpan span("loopinfo", "analysis");
     if (fn.isDeclaration())
         return;
-    auto preds = predecessorMap(fn);
 
     // Find back edges: latch -> header where header dominates latch.
-    // Group by header (a header can have several latches).
-    std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> backEdges;
+    // Group by header (a header can have several latches); headers are
+    // visited in reverse postorder.
+    std::vector<std::vector<BasicBlock *>> latches_of(fn.numBlocks());
+    std::vector<BasicBlock *> headers;
     for (BasicBlock *block : domtree.rpo()) {
         for (BasicBlock *succ : block->successors()) {
-            if (domtree.dominates(succ, block))
-                backEdges[succ].push_back(block);
+            if (!domtree.dominates(succ, block))
+                continue;
+            auto &latches = latches_of[succ->indexInFn()];
+            if (latches.empty())
+                headers.push_back(succ);
+            latches.push_back(block);
         }
     }
+    auto rpo_less = [&](const BasicBlock *a, const BasicBlock *b) {
+        return domtree.rpoIndex(a) < domtree.rpoIndex(b);
+    };
+    std::sort(headers.begin(), headers.end(), rpo_less);
 
     // Build each loop body by walking predecessors from the latches.
-    for (auto &[header, latches] : backEdges) {
+    // in_loop holds the 1-based number of the last loop that claimed a
+    // block, so the marks never need clearing.
+    std::vector<uint32_t> in_loop(fn.numBlocks(), 0);
+    for (BasicBlock *header : headers) {
+        const uint32_t stamp = static_cast<uint32_t>(loops_.size() + 1);
         auto loop = std::make_unique<Loop>();
         loop->header = header;
-        loop->latches = latches;
-        loop->blocks.insert(header);
-        std::vector<BasicBlock *> worklist(latches.begin(), latches.end());
+        loop->latches = latches_of[header->indexInFn()];
+        loop->blocks.push_back(header);
+        in_loop[header->indexInFn()] = stamp;
+        std::vector<BasicBlock *> worklist(loop->latches.begin(),
+                                           loop->latches.end());
         while (!worklist.empty()) {
             BasicBlock *block = worklist.back();
             worklist.pop_back();
-            if (!loop->blocks.insert(block).second)
+            if (in_loop[block->indexInFn()] == stamp)
                 continue;
+            in_loop[block->indexInFn()] = stamp;
+            loop->blocks.push_back(block);
             for (BasicBlock *pred : preds.at(block)) {
-                if (!domtree.isReachable(pred))
-                    continue;
-                if (!loop->blocks.count(pred))
+                if (domtree.isReachable(pred) &&
+                    in_loop[pred->indexInFn()] != stamp)
                     worklist.push_back(pred);
             }
         }
+        std::sort(loop->blocks.begin(), loop->blocks.end(), byBlockIndex);
         loops_.push_back(std::move(loop));
     }
 
-    // Sort outermost (largest) first so nesting links are easy to set.
+    // Outermost (largest) first so nesting links are easy to set;
+    // equal sizes keep header RPO order.
     std::sort(loops_.begin(), loops_.end(),
-              [](const auto &a, const auto &b) {
-                  return a->blocks.size() > b->blocks.size();
+              [&](const auto &a, const auto &b) {
+                  if (a->blocks.size() != b->blocks.size())
+                      return a->blocks.size() > b->blocks.size();
+                  return rpo_less(a->header, b->header);
               });
 
     // Nesting: the innermost loop containing a header (other than the
     // loop itself) is the parent.
     for (size_t i = 0; i < loops_.size(); ++i) {
         for (size_t j = i + 1; j < loops_.size(); ++j) {
-            if (loops_[i]->contains(loops_[j]->header) &&
-                loops_[i].get() != loops_[j].get()) {
+            if (loops_[i]->contains(loops_[j]->header)) {
                 // loops_ sorted by size descending, so j is nested in i;
                 // keep the innermost parent (latest i that contains j).
                 loops_[j]->parent = loops_[i].get();
@@ -110,19 +124,6 @@ LoopInfo::LoopInfo(const Function &fn, const DominatorTree &domtree)
         if (loop->parent)
             loop->parent->subloops.push_back(loop.get());
     }
-
-    // innermost_ map: smaller loops overwrite larger ones.
-    for (auto &loop : loops_) {
-        for (BasicBlock *block : loop->blocks)
-            innermost_[block] = loop.get();
-    }
-}
-
-Loop *
-LoopInfo::loopFor(const BasicBlock *block) const
-{
-    auto it = innermost_.find(block);
-    return it == innermost_.end() ? nullptr : it->second;
 }
 
 } // namespace dce::ir

@@ -99,34 +99,41 @@ EscapeInfo::EscapeInfo(const Module &module)
                 escaped_.insert(init.base);
         }
     }
+    Scratch scratch;
+    scratch.visited.assign(module.valueIdBound(), 0);
     for (const auto &global : module.globals())
-        markEscaping(global.get());
+        markEscaping(global.get(), scratch);
     for (const auto &fn : module.functions()) {
         for (const auto &block : fn->blocks()) {
             for (const auto &instr : block->instrs()) {
                 if (instr->opcode() == Opcode::Alloca)
-                    markEscaping(instr.get());
+                    markEscaping(instr.get(), scratch);
             }
         }
     }
 }
 
 void
-EscapeInfo::markEscaping(const Value *root)
+EscapeInfo::markEscaping(const Value *root, Scratch &scratch)
 {
     if (escaped_.count(root))
         return;
     // Chase every SSA value derived from the object's address. If any
     // derived pointer is stored to memory, passed to a call, returned,
     // or flows somewhere we cannot track (phi/select merge is tracked;
-    // being a store *value* is not), the object escapes.
-    std::vector<const Value *> worklist = {root};
-    std::unordered_set<const Value *> visited;
+    // being a store *value* is not), the object escapes. Every value
+    // on the chase (the object, geps, freezes, selects, phis) carries
+    // a unique value id.
+    const uint32_t stamp = ++scratch.stamp;
+    std::vector<const Value *> &worklist = scratch.worklist;
+    worklist.assign(1, root);
     while (!worklist.empty()) {
         const Value *value = worklist.back();
         worklist.pop_back();
-        if (!visited.insert(value).second)
+        uint32_t &visited = scratch.visited[value->id()];
+        if (visited == stamp)
             continue;
+        visited = stamp;
         for (const Instr *user : value->users()) {
             switch (user->opcode()) {
               case Opcode::Load:
@@ -187,6 +194,7 @@ testBit(const support::SmallVector<uint64_t, 1> &bits, unsigned index)
 } // namespace
 
 MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
+    : fnIndex_(module.functions()), globalIndex_(module.globals())
 {
     support::TraceSpan span("memorysummary", "analysis");
     // Direct effects, then propagate through calls to a fixed point
@@ -195,13 +203,8 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
     const auto &functions = module.functions();
     const unsigned num_globals = static_cast<unsigned>(globals.size());
     const size_t words = (num_globals + 63) / 64;
-    globalIndex_.reserve(num_globals);
-    for (unsigned i = 0; i < num_globals; ++i)
-        globalIndex_[globals[i].get()] = i;
-    fnIndex_.reserve(functions.size());
     effects_.resize(functions.size());
     for (unsigned i = 0; i < functions.size(); ++i) {
-        fnIndex_[functions[i].get()] = i;
         effects_[i].reads.resize(words, 0);
         effects_[i].writes.resize(words, 0);
     }
@@ -236,7 +239,8 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
         for (const auto &block : fn->blocks()) {
             for (const auto &instr : block->instrs()) {
                 if (instr->opcode() == Opcode::Call) {
-                    unsigned callee = fnIndex_.at(instr->callee);
+                    unsigned callee = static_cast<unsigned>(
+                        fnIndex_.find(instr->callee));
                     bool seen = false;
                     for (unsigned c : callees[f])
                         seen |= c == callee;
@@ -254,7 +258,8 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
                         auto *g = static_cast<const GlobalVar *>(
                             base.object);
                         setBit(is_store ? eff.writes : eff.reads,
-                               globalIndex_.at(g));
+                               static_cast<unsigned>(
+                                   globalIndex_.find(g)));
                     } else if (base.kind == PtrBase::Kind::Unknown) {
                         // Could be any escaped object or a global
                         // whose address escaped.
@@ -317,17 +322,17 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
 bool
 MemorySummary::mayRead(const Function *fn, const GlobalVar *g) const
 {
-    auto it = globalIndex_.find(g);
-    return it != globalIndex_.end() &&
-           testBit(effectsOf(fn).reads, it->second);
+    int index = globalIndex_.find(g);
+    return index >= 0 &&
+           testBit(effectsOf(fn).reads, static_cast<unsigned>(index));
 }
 
 bool
 MemorySummary::mayWrite(const Function *fn, const GlobalVar *g) const
 {
-    auto it = globalIndex_.find(g);
-    return it != globalIndex_.end() &&
-           testBit(effectsOf(fn).writes, it->second);
+    int index = globalIndex_.find(g);
+    return index >= 0 &&
+           testBit(effectsOf(fn).writes, static_cast<unsigned>(index));
 }
 
 bool

@@ -17,10 +17,13 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "ir/ir.hpp"
 #include "support/small_vector.hpp"
@@ -73,10 +76,76 @@ class EscapeInfo {
         return escaped_.count(object) != 0;
     }
 
+    bool operator==(const EscapeInfo &) const = default;
+
   private:
-    void markEscaping(const ir::Value *root);
+    /** Worklist and per-value-id visit stamps shared by every
+     * markEscaping call of one construction. */
+    struct Scratch {
+        std::vector<const ir::Value *> worklist;
+        std::vector<uint32_t> visited;
+        uint32_t stamp = 0;
+    };
+    void markEscaping(const ir::Value *root, Scratch &scratch);
 
     std::unordered_set<const ir::Value *> escaped_;
+};
+
+/** Dense index of a module's functions or globals at construction,
+ * looked up by pointer in an open-addressing hash table. Never
+ * iterated, so the pointer order cannot leak into any result. */
+template <typename T>
+class PointerIndex {
+  public:
+    explicit PointerIndex(const std::vector<std::unique_ptr<T>> &items)
+    {
+        size_t capacity = 8;
+        while (capacity < 2 * items.size())
+            capacity *= 2;
+        slots_.assign(capacity, {nullptr, 0});
+        items_.reserve(items.size());
+        for (unsigned i = 0; i < items.size(); ++i) {
+            items_.push_back(items[i].get());
+            size_t slot = home(items[i].get());
+            while (slots_[slot].first)
+                slot = (slot + 1) & (slots_.size() - 1);
+            slots_[slot] = {items[i].get(), i};
+        }
+    }
+
+    /** Index of @p item, or -1 when it is not indexed. */
+    int
+    find(const T *item) const
+    {
+        for (size_t slot = home(item); slots_[slot].first;
+             slot = (slot + 1) & (slots_.size() - 1)) {
+            if (slots_[slot].first == item)
+                return static_cast<int>(slots_[slot].second);
+        }
+        return -1;
+    }
+
+    /** Same items at the same indexes. */
+    bool
+    operator==(const PointerIndex &other) const
+    {
+        return items_ == other.items_;
+    }
+
+  private:
+    size_t
+    home(const T *item) const
+    {
+        const uint64_t bits = reinterpret_cast<uintptr_t>(item);
+        return static_cast<size_t>((bits >> 4) * 0x9E3779B97F4A7C15ULL >>
+                                   32) &
+               (slots_.size() - 1);
+    }
+
+    /// The items in index order.
+    std::vector<const T *> items_;
+    /// (item, index) pairs; a null item marks an empty slot.
+    std::vector<std::pair<const T *, unsigned>> slots_;
 };
 
 /** Transitive memory effects of each function on global objects. */
@@ -92,6 +161,8 @@ class MemorySummary {
     bool readsUnknown(const ir::Function *fn) const;
     bool writesUnknown(const ir::Function *fn) const;
 
+    bool operator==(const MemorySummary &) const = default;
+
   private:
     /** Read/write sets as bitmasks over the module's global index —
      * the call-graph fixpoint then unions effects with word ORs
@@ -101,15 +172,19 @@ class MemorySummary {
         support::SmallVector<uint64_t, 1> writes;
         bool readsUnknown = false;
         bool writesUnknown = false;
+
+        bool operator==(const Effects &) const = default;
     };
 
     const Effects &effectsOf(const ir::Function *fn) const
     {
-        return effects_[fnIndex_.at(fn)];
+        int index = fnIndex_.find(fn);
+        assert(index >= 0 && "function not in the summarized module");
+        return effects_[static_cast<size_t>(index)];
     }
 
-    std::unordered_map<const ir::Function *, unsigned> fnIndex_;
-    std::unordered_map<const ir::GlobalVar *, unsigned> globalIndex_;
+    PointerIndex<ir::Function> fnIndex_;
+    PointerIndex<ir::GlobalVar> globalIndex_;
     std::vector<Effects> effects_;
 };
 

@@ -36,15 +36,20 @@ class Dse : public Pass {
     explicit Dse(bool allow_exit_dse) : allowExitDse_(allow_exit_dse) {}
 
     std::string name() const override { return "dse"; }
+    std::string flavour() const override
+    {
+        return allowExitDse_ ? "exit" : "";
+    }
 
     bool
-    run(Module &module, const PassConfig &config, PassContext &) override
+    run(Module &module, const PassConfig &config,
+        PassContext &ctx) override
     {
         bool exit_dse = config.dseAtExit && allowExitDse_;
         if (!config.dseIntraBlock && !exit_dse)
             return false;
-        EscapeInfo escape(module);
-        MemorySummary summary(module, escape);
+        const EscapeInfo &escape = ctx.analyses.escapeInfo(module);
+        const MemorySummary &summary = ctx.analyses.memorySummary(module);
 
         bool changed = false;
         if (config.dseIntraBlock) {

@@ -76,7 +76,7 @@ struct KeyHash {
 /**
  * Scoped hash table with tombstones (nullptr value shadows an outer
  * entry): one hash map from key to a stack of per-scope bindings plus
- * an undo log per scope, so lookup is a single probe and popScope
+ * one undo log split into scopes, so lookup is a single probe and popScope
  * unwinds exactly the bindings its scope made — the standard
  * LLVM-ScopedHashTable shape. The outcome of every operation is
  * identical to a stack of per-scope maps; only the cost differs.
@@ -84,31 +84,32 @@ struct KeyHash {
 template <typename Key>
 class ScopedTable {
   public:
-    void pushScope() { undo_.emplace_back(); }
+    void pushScope() { scopeStart_.push_back(undo_.size()); }
 
     void
     popScope()
     {
-        for (const Key &key : undo_.back()) {
-            auto it = table_.find(key);
+        for (size_t i = scopeStart_.back(); i < undo_.size(); ++i) {
+            auto it = table_.find(undo_[i]);
             it->second.pop_back();
             if (it->second.empty())
                 table_.erase(it);
         }
-        undo_.pop_back();
+        undo_.resize(scopeStart_.back());
+        scopeStart_.pop_back();
     }
 
     void
     insert(const Key &key, Value *value)
     {
-        unsigned scope = static_cast<unsigned>(undo_.size() - 1);
+        unsigned scope = static_cast<unsigned>(scopeStart_.size() - 1);
         auto &stack = table_[key];
         if (!stack.empty() && stack.back().scope == scope) {
             stack.back().value = value;
             return;
         }
         stack.push_back({value, scope});
-        undo_.back().push_back(key);
+        undo_.push_back(key);
     }
 
     /** Innermost entry, or nullptr when absent or tombstoned. */
@@ -144,7 +145,10 @@ class ScopedTable {
     };
     std::unordered_map<Key, support::SmallVector<Binding, 2>, KeyHash>
         table_;
-    std::vector<std::vector<Key>> undo_;
+    /// Keys bound per scope, innermost last; scope k's start at
+    /// scopeStart_[k].
+    std::vector<Key> undo_;
+    std::vector<size_t> scopeStart_;
 };
 
 class EarlyCse : public Pass {
@@ -152,20 +156,25 @@ class EarlyCse : public Pass {
     std::string name() const override { return "earlycse"; }
 
     bool
-    run(Module &module, const PassConfig &config, PassContext &) override
+    run(Module &module, const PassConfig &config,
+        PassContext &ctx) override
     {
         if (!config.earlyCse)
             return false;
         config_ = &config;
-        escape_ = std::make_unique<EscapeInfo>(module);
-        summary_ = std::make_unique<MemorySummary>(module, *escape_);
+        // The module analyses are held for the whole run: the pass's
+        // own edits never feed back into them within one run.
+        escape_ = &ctx.analyses.escapeInfo(module);
+        summary_ = &ctx.analyses.memorySummary(module);
         bool changed = false;
         for (const auto &fn : module.functions()) {
-            if (!fn->isDeclaration())
-                changed |= runOnFunction(*fn);
+            if (!fn->isDeclaration()) {
+                changed |= runOnFunction(*fn, ctx.analyses.domtree(*fn),
+                                         ctx.analyses.preds(*fn));
+            }
         }
-        escape_.reset();
-        summary_.reset();
+        escape_ = nullptr;
+        summary_ = nullptr;
         return changed;
     }
 
@@ -260,18 +269,9 @@ class EarlyCse : public Pass {
     }
 
     bool
-    runOnFunction(Function &fn)
+    runOnFunction(Function &fn, const ir::DominatorTree &domtree,
+                  const ir::PredecessorMap &preds)
     {
-        ir::DominatorTree domtree(fn);
-        auto preds = ir::predecessorMap(fn);
-
-        std::vector<std::vector<BasicBlock *>> dom_children(
-            fn.numBlocks());
-        for (BasicBlock *block : domtree.rpo()) {
-            if (const BasicBlock *parent = domtree.idom(block))
-                dom_children[parent->indexInFn()].push_back(block);
-        }
-
         bool changed = false;
 
         // Explicit-stack DFS so each scope pops exactly once.
@@ -301,8 +301,7 @@ class EarlyCse : public Pass {
 
             changed |= processBlock(*action.block);
 
-            for (BasicBlock *child :
-                 dom_children[action.block->indexInFn()])
+            for (BasicBlock *child : domtree.children(action.block))
                 stack.push_back({child, true});
         }
         return changed;
@@ -380,8 +379,8 @@ class EarlyCse : public Pass {
     }
 
     const PassConfig *config_ = nullptr;
-    std::unique_ptr<EscapeInfo> escape_;
-    std::unique_ptr<MemorySummary> summary_;
+    const EscapeInfo *escape_ = nullptr;
+    const MemorySummary *summary_ = nullptr;
     ScopedTable<ExprKey> expressions_;
     ScopedTable<const Value *> memory_;
 };

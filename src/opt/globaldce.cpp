@@ -7,8 +7,10 @@
  * clone bug (Listing 9b / PR100034) that the `globalDce` knob turns
  * back on and off.
  */
-#include <unordered_set>
+#include <set>
+#include <vector>
 
+#include "opt/alias.hpp"
 #include "opt/pass.hpp"
 #include "support/markers.hpp"
 
@@ -32,60 +34,89 @@ class GlobalDce : public Pass {
     {
         if (!config.globalDce)
             return false;
-        bool changed = false;
-        // Deleting one function can orphan another; iterate.
-        bool progress = true;
-        while (progress) {
-            progress = false;
-
-            std::unordered_set<const Function *> called;
-            for (const auto &fn : module.functions()) {
-                for (const auto &block : fn->blocks()) {
+        // Functions no call targets (main and noDce ones stay)...
+        bool changed = eraseUnreferenced(
+            module.functions(),
+            [](const Function &fn, auto &&visit) {
+                for (const auto &block : fn.blocks()) {
                     for (const auto &instr : block->instrs()) {
                         if (instr->opcode() == Opcode::Call)
-                            called.insert(instr->callee);
+                            visit(instr->callee);
                     }
                 }
-            }
-            for (const auto &fn : module.functions()) {
-                if (!fn->isInternal() || fn->isDeclaration())
-                    continue;
-                if (fn->name() == "main" || called.count(fn.get()) ||
-                    fn->noDce()) {
-                    continue;
-                }
+            },
+            [](const Function &fn) {
+                return fn.isInternal() && !fn.isDeclaration() &&
+                       fn.name() != "main" && !fn.noDce();
+            },
+            [&](Function *fn) {
                 if (ctx.wantRemarks())
                     reportErasedMarkerCalls(*fn, ctx);
-                module.eraseFunction(fn.get());
-                progress = true;
-                changed = true;
-                break; // container mutated; rescan
-            }
-            if (progress)
-                continue;
-
-            std::unordered_set<const GlobalVar *> referenced;
-            for (const auto &global : module.globals()) {
-                for (const ir::GlobalInit &init : global->init) {
+                ctx.analyses.invalidate(*fn);
+                module.eraseFunction(fn);
+            });
+        // ...then globals with no users that no initializer names.
+        changed |= eraseUnreferenced(
+            module.globals(),
+            [](const GlobalVar &global, auto &&visit) {
+                for (const ir::GlobalInit &init : global.init) {
                     if (init.isAddress())
-                        referenced.insert(init.base);
+                        visit(init.base);
                 }
-            }
-            for (const auto &global : module.globals()) {
-                if (!global->isInternal() || global->hasUsers() ||
-                    referenced.count(global.get())) {
-                    continue;
-                }
-                module.eraseGlobal(global.get());
-                progress = true;
-                changed = true;
-                break;
-            }
-        }
+            },
+            [](const GlobalVar &global) {
+                return global.isInternal() && !global.hasUsers();
+            },
+            [&](GlobalVar *global) { module.eraseGlobal(global); });
         return changed;
     }
 
   private:
+    /**
+     * Erase the items of @p owned that nothing references and
+     * @p erasable admits. Erasing one drops the references it makes
+     * (@p for_each_ref), which can orphan others, so reference counts
+     * are kept and each step erases the first dead item in module
+     * order — exactly the order of a rescan after every erase, without
+     * the rescans.
+     */
+    template <typename T, typename ForEachRef, typename Erasable,
+              typename Erase>
+    static bool
+    eraseUnreferenced(const std::vector<std::unique_ptr<T>> &owned,
+                      ForEachRef &&for_each_ref, Erasable &&erasable,
+                      Erase &&erase)
+    {
+        const PointerIndex<T> index(owned);
+        std::vector<T *> order;
+        for (const auto &item : owned)
+            order.push_back(item.get());
+        std::vector<unsigned> refs(order.size(), 0);
+        for (const T *item : order) {
+            for_each_ref(*item, [&](const T *target) {
+                ++refs[static_cast<size_t>(index.find(target))];
+            });
+        }
+
+        std::set<size_t> dead;
+        for (size_t i = 0; i < order.size(); ++i) {
+            if (refs[i] == 0 && erasable(*order[i]))
+                dead.insert(i);
+        }
+        const bool changed = !dead.empty();
+        while (!dead.empty()) {
+            T *item = order[*dead.begin()];
+            dead.erase(dead.begin());
+            for_each_ref(*item, [&](const T *target) {
+                size_t i = static_cast<size_t>(index.find(target));
+                if (--refs[i] == 0 && erasable(*order[i]))
+                    dead.insert(i);
+            });
+            erase(item);
+        }
+        return changed;
+    }
+
     /** Detail remarks for marker calls inside an uncalled internal
      * function about to be erased — these calls vanish with it. */
     void

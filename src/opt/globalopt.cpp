@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "ir/cfg.hpp"
-#include "ir/dominators.hpp"
 #include "ir/loop_info.hpp"
 #include "opt/alias.hpp"
 #include "opt/pass.hpp"
@@ -51,21 +50,26 @@ class GlobalOpt : public Pass {
     std::string name() const override { return "globalopt"; }
 
     bool
-    run(Module &module, const PassConfig &config, PassContext &) override
+    run(Module &module, const PassConfig &config,
+        PassContext &ctx) override
     {
         if (!config.foldNeverStoredGlobals)
             return false;
         module_ = &module;
         config_ = &config;
-        EscapeInfo escape(module);
-        MemorySummary summary(module, escape);
+        ctx_ = &ctx;
+        const EscapeInfo &escape = ctx.analyses.escapeInfo(module);
+        const MemorySummary &summary = ctx.analyses.memorySummary(module);
 
         bool changed = false;
-        for (const auto &global : module.globals()) {
-            if (!global->isInternal() || escape.escapes(global.get()))
+        bucketAccesses();
+        for (size_t i = 0; i < module.globals().size(); ++i) {
+            const GlobalVar &global = *module.globals()[i];
+            if (!global.isInternal() || escape.escapes(&global))
                 continue;
-            changed |= analyzeGlobal(*global, summary);
+            changed |= analyzeGlobal(global, i, summary);
         }
+        buckets_.clear();
         if (config.localizeGlobals) {
             // Loop-restricted register promotion (the LICM scalar
             // promotion family): only globals with an access inside a
@@ -76,8 +80,8 @@ class GlobalOpt : public Pass {
             std::unordered_set<const BasicBlock *> loop_blocks;
             Function *main_fn = module.getFunction("main");
             if (main_fn && !main_fn->isDeclaration()) {
-                ir::DominatorTree domtree(*main_fn);
-                ir::LoopInfo loops(*main_fn, domtree);
+                const ir::LoopInfo &loops =
+                    ctx.analyses.loopInfo(*main_fn);
                 for (const auto &loop : loops.loops()) {
                     loop_blocks.insert(loop->blocks.begin(),
                                        loop->blocks.end());
@@ -153,6 +157,17 @@ class GlobalOpt : public Pass {
     }
 
   private:
+    /** Replace @p load by @p replacement. */
+    void
+    eraseLoad(Instr *load, Value *replacement)
+    {
+        // A pointer load's users may now resolve to a global.
+        if (load->type().isPtr())
+            bucketsValid_ = false;
+        load->replaceAllUsesWith(replacement);
+        load->parent()->erase(load);
+    }
+
     /** The initializer value of slot @p index (missing slots are 0). */
     GlobalInit
     initOf(const GlobalVar &g, uint64_t index) const
@@ -169,33 +184,47 @@ class GlobalOpt : public Pass {
         bool sawUnresolvedStoreOffset = false;
     };
 
-    Accesses
-    collectAccesses(const GlobalVar &g) const
+    /** Bucket every global's loads and stores (module order within a
+     * bucket) in one walk. Analyzing a global edits only its own loads,
+     * so the other buckets stay exact until a pointer load is replaced
+     * (eraseLoad then marks them stale and accessesOf rebuilds). */
+    void
+    bucketAccesses()
     {
-        Accesses result;
+        const PointerIndex<GlobalVar> index(module_->globals());
+        buckets_.assign(module_->globals().size(), Accesses{});
+        bucketsValid_ = true;
         for (const auto &fn : module_->functions()) {
             for (const auto &block : fn->blocks()) {
                 for (const auto &instr : block->instrs()) {
                     bool is_load = instr->opcode() == Opcode::Load;
-                    bool is_store = instr->opcode() == Opcode::Store;
-                    if (!is_load && !is_store)
+                    if (!is_load && instr->opcode() != Opcode::Store)
                         continue;
-                    const Value *ptr =
-                        instr->operand(is_load ? 0 : 1);
-                    PtrBase base = resolvePtrBase(ptr);
-                    if (base.kind != PtrBase::Kind::Global ||
-                        base.object != &g) {
+                    PtrBase base =
+                        resolvePtrBase(instr->operand(is_load ? 0 : 1));
+                    if (base.kind != PtrBase::Kind::Global)
                         continue;
-                    }
-                    if (is_load) {
-                        result.loads.push_back(instr.get());
-                    } else {
-                        result.stores.push_back(instr.get());
-                        if (!base.offset)
-                            result.sawUnresolvedStoreOffset = true;
-                    }
+                    Accesses &bucket = buckets_[static_cast<size_t>(
+                        index.find(static_cast<const GlobalVar *>(
+                            base.object)))];
+                    (is_load ? bucket.loads : bucket.stores)
+                        .push_back(instr.get());
                 }
             }
+        }
+    }
+
+    /** Accesses of the global at position @p index, re-bucketing
+     * first if a replaced pointer load made the buckets inexact. */
+    Accesses
+    accessesOf(size_t index)
+    {
+        if (!bucketsValid_)
+            bucketAccesses();
+        Accesses result = std::move(buckets_[index]);
+        for (const Instr *store : result.stores) {
+            if (!resolvePtrBase(store->operand(1)).offset)
+                result.sawUnresolvedStoreOffset = true;
         }
         return result;
     }
@@ -269,8 +298,7 @@ class GlobalOpt : public Pass {
             else
                 replacement = module_->constant(type, init.value);
         }
-        load->replaceAllUsesWith(replacement);
-        load->parent()->erase(load);
+        eraseLoad(load, replacement);
         return true;
     }
 
@@ -301,9 +329,7 @@ class GlobalOpt : public Pass {
             for (uint64_t i = 0; i < g.count() && all_zero; ++i)
                 all_zero = initOf(g, i).value == 0;
             if (all_zero) {
-                load->replaceAllUsesWith(
-                    module_->constant(load->type(), 0));
-                load->parent()->erase(load);
+                eraseLoad(load, module_->constant(load->type(), 0));
                 changed = true;
             }
         }
@@ -397,9 +423,10 @@ class GlobalOpt : public Pass {
     }
 
     bool
-    analyzeGlobal(const GlobalVar &g, const MemorySummary &summary)
+    analyzeGlobal(const GlobalVar &g, size_t index,
+                  const MemorySummary &summary)
     {
-        Accesses accesses = collectAccesses(g);
+        Accesses accesses = accessesOf(index);
         bool constant_content =
             accesses.stores.empty() ||
             (config_->foldStoredEqualsInitGlobals &&
@@ -416,6 +443,10 @@ class GlobalOpt : public Pass {
 
     Module *module_ = nullptr;
     const PassConfig *config_ = nullptr;
+    PassContext *ctx_ = nullptr;
+    /// Per global position, its accesses (see bucketAccesses).
+    std::vector<Accesses> buckets_;
+    bool bucketsValid_ = false;
 };
 
 } // namespace

@@ -34,7 +34,8 @@ class Inliner : public Pass {
     std::string name() const override { return "inline"; }
 
     bool
-    run(Module &module, const PassConfig &config, PassContext &) override
+    run(Module &module, const PassConfig &config,
+        PassContext &ctx) override
     {
         if (config.inlineThreshold == 0)
             return false;
@@ -59,6 +60,7 @@ class Inliner : public Pass {
                         site->callee->setNoDce(true);
                     }
                     inlineCall(*fn, site, module);
+                    ctx.analyses.invalidate(*fn);
                     changed = true;
                     progress = true;
                     --budget;

@@ -45,8 +45,13 @@ class JumpThreading : public Pass {
         for (const auto &fn : module.functions()) {
             if (fn->isDeclaration())
                 continue;
+            bool fn_changed = false;
             while (threadOne(*fn))
+                fn_changed = true;
+            if (fn_changed) {
+                ctx.analyses.invalidate(*fn);
                 changed = true;
+            }
         }
         ctx_ = nullptr;
         return changed;

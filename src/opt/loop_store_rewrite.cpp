@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "ir/cfg.hpp"
-#include "ir/dominators.hpp"
 #include "ir/loop_info.hpp"
 #include "opt/pass.hpp"
 #include "support/ints.hpp"
@@ -54,8 +53,10 @@ class LoopStoreRewrite : public Pass {
             if (fn->isDeclaration())
                 continue;
             unsigned budget = 8;
-            while (budget-- > 0 && rewriteOne(*fn))
+            while (budget-- > 0 && rewriteOne(*fn)) {
+                ctx.analyses.invalidate(*fn);
                 changed = true;
+            }
         }
         ctx_ = nullptr;
         return changed;
@@ -65,9 +66,8 @@ class LoopStoreRewrite : public Pass {
     bool
     rewriteOne(Function &fn)
     {
-        ir::DominatorTree domtree(fn);
-        ir::LoopInfo loop_info(fn, domtree);
-        auto preds = ir::predecessorMap(fn);
+        const ir::LoopInfo &loop_info = ctx_->analyses.loopInfo(fn);
+        const ir::PredecessorMap &preds = ctx_->analyses.preds(fn);
         for (const auto &loop : loop_info.loops()) {
             if (tryRewrite(fn, *loop, preds))
                 return true;
@@ -349,12 +349,8 @@ class LoopStoreRewrite : public Pass {
 
         // Jump straight to the exit; the loop becomes unreachable.
         preheader.terminator()->replaceSuccessor(header, exit);
-        if (ctx_ && ctx_->wantRemarks()) {
-            reportUnreachableMarkerCalls(fn, name(), *ctx_,
-                                         "loop rewritten to "
-                                         "straight-line stores");
-        }
-        ir::removeUnreachableBlocks(fn);
+        removeUnreachableBlocks(fn, name(), *ctx_,
+                                "loop rewritten to straight-line stores");
     }
 
     const PassConfig *config_ = nullptr;

@@ -13,7 +13,6 @@
 
 #include "ir/cfg.hpp"
 #include "ir/clone.hpp"
-#include "ir/dominators.hpp"
 #include "ir/loop_info.hpp"
 #include "opt/pass.hpp"
 #include "support/ints.hpp"
@@ -65,8 +64,10 @@ class LoopUnroll : public Pass {
             // Unroll loops one at a time (analyses go stale after each
             // transform) under a growth budget.
             unsigned budget = 8;
-            while (budget-- > 0 && unrollOne(*fn))
+            while (budget-- > 0 && unrollOne(*fn)) {
+                ctx.analyses.invalidate(*fn);
                 changed = true;
+            }
         }
         ctx_ = nullptr;
         return changed;
@@ -210,9 +211,8 @@ class LoopUnroll : public Pass {
     bool
     unrollOne(Function &fn)
     {
-        ir::DominatorTree domtree(fn);
-        ir::LoopInfo loop_info(fn, domtree);
-        auto preds = ir::predecessorMap(fn);
+        const ir::LoopInfo &loop_info = ctx_->analyses.loopInfo(fn);
+        const ir::PredecessorMap &preds = ctx_->analyses.preds(fn);
         for (const auto &loop : loop_info.loops()) {
             std::optional<CountedLoop> info = match(*loop, preds);
             if (!info)
@@ -226,8 +226,7 @@ class LoopUnroll : public Pass {
     void
     applyUnroll(Function &fn, const Loop &loop, const CountedLoop &info)
     {
-        std::vector<BasicBlock *> region(loop.blocks.begin(),
-                                         loop.blocks.end());
+        const std::vector<BasicBlock *> &region = loop.blocks;
         std::vector<Instr *> header_phis = info.header->phis();
 
         // Current value of each header phi entering the next iteration.
@@ -284,11 +283,7 @@ class LoopUnroll : public Pass {
         // back-edge that can never execute, because the final header
         // comparison exits); leave it for SCCP/SimplifyCFG, but the
         // *original* loop is now unreachable.
-        if (ctx_ && ctx_->wantRemarks()) {
-            reportUnreachableMarkerCalls(fn, name(), *ctx_,
-                                         "loop fully unrolled");
-        }
-        ir::removeUnreachableBlocks(fn);
+        removeUnreachableBlocks(fn, name(), *ctx_, "loop fully unrolled");
     }
 
     const PassConfig *config_ = nullptr;

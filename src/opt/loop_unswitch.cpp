@@ -18,7 +18,6 @@
 
 #include "ir/cfg.hpp"
 #include "ir/clone.hpp"
-#include "ir/dominators.hpp"
 #include "ir/loop_info.hpp"
 #include "opt/alias.hpp"
 #include "opt/pass.hpp"
@@ -50,19 +49,24 @@ class LoopUnswitch : public Pass {
         config_ = &config;
         module_ = &module;
         ctx_ = &ctx;
-        escape_ = std::make_unique<EscapeInfo>(module);
-        summary_ = std::make_unique<MemorySummary>(module, *escape_);
+        escape_ = &ctx.analyses.escapeInfo(module);
+        summary_ = &ctx.analyses.memorySummary(module);
         bool changed = false;
         for (const auto &fn : module.functions()) {
             if (fn->isDeclaration())
                 continue;
             // One unswitch per function per run keeps growth bounded;
-            // pipeline iteration picks up the rest.
+            // pipeline iteration picks up the rest. Hoisting loads
+            // leaves the CFG alone, so unswitchOne reuses licmLoads'
+            // loops; unswitching itself rewires the CFG.
             changed |= licmLoads(*fn);
-            changed |= unswitchOne(*fn);
+            if (unswitchOne(*fn)) {
+                ctx.analyses.invalidate(*fn);
+                changed = true;
+            }
         }
-        escape_.reset();
-        summary_.reset();
+        escape_ = nullptr;
+        summary_ = nullptr;
         ctx_ = nullptr;
         return changed;
     }
@@ -82,9 +86,8 @@ class LoopUnswitch : public Pass {
     bool
     licmLoads(Function &fn)
     {
-        ir::DominatorTree domtree(fn);
-        ir::LoopInfo loop_info(fn, domtree);
-        auto preds = ir::predecessorMap(fn);
+        const ir::LoopInfo &loop_info = ctx_->analyses.loopInfo(fn);
+        const ir::PredecessorMap &preds = ctx_->analyses.preds(fn);
         bool changed = false;
         for (const auto &loop : loop_info.loops()) {
             BasicBlock *preheader = loop->preheader(preds);
@@ -170,9 +173,8 @@ class LoopUnswitch : public Pass {
     bool
     unswitchOne(Function &fn)
     {
-        ir::DominatorTree domtree(fn);
-        ir::LoopInfo loop_info(fn, domtree);
-        auto preds = ir::predecessorMap(fn);
+        const ir::LoopInfo &loop_info = ctx_->analyses.loopInfo(fn);
+        const ir::PredecessorMap &preds = ctx_->analyses.preds(fn);
 
         for (const auto &loop : loop_info.loops()) {
             if (loop->blocks.size() > 40)
@@ -205,8 +207,7 @@ class LoopUnswitch : public Pass {
     applyUnswitch(Function &fn, const Loop &loop, BasicBlock *preheader,
                   BasicBlock *branch_block, Instr *term, Value *cond)
     {
-        std::vector<BasicBlock *> region(loop.blocks.begin(),
-                                         loop.blocks.end());
+        const std::vector<BasicBlock *> &region = loop.blocks;
         CloneMap map =
             ir::cloneRegion(region, fn, *module_, CloneMap{}, ".us");
 
@@ -272,7 +273,7 @@ class LoopUnswitch : public Pass {
         condbr->addBlockOperand(clone_header);
         preheader->append(std::move(condbr));
 
-        if (ctx_ && ctx_->wantRemarks()) {
+        if (ctx_->wantRemarks()) {
             ctx_->remark(support::RemarkKind::Note, name(),
                          support::Remark::kNoMarker,
                          std::string("unswitched loop at '") +
@@ -280,10 +281,8 @@ class LoopUnswitch : public Pass {
                              (config_->unswitchInsertsFreeze
                                   ? "' (condition frozen)"
                                   : "'"));
-            reportUnreachableMarkerCalls(fn, name(), *ctx_,
-                                         "loop unswitch cleanup");
         }
-        ir::removeUnreachableBlocks(fn);
+        removeUnreachableBlocks(fn, name(), *ctx_, "loop unswitch cleanup");
     }
 
     /** Replace @p term (CondBr) with an unconditional branch to
@@ -304,8 +303,8 @@ class LoopUnswitch : public Pass {
     const PassConfig *config_ = nullptr;
     Module *module_ = nullptr;
     PassContext *ctx_ = nullptr;
-    std::unique_ptr<EscapeInfo> escape_;
-    std::unique_ptr<MemorySummary> summary_;
+    const EscapeInfo *escape_ = nullptr;
+    const MemorySummary *summary_ = nullptr;
 };
 
 } // namespace

@@ -74,11 +74,13 @@ class Mem2Reg : public Pass {
     bool
     runOnFunction(Function &fn, Module &module)
     {
-        if (ctx_ && ctx_->wantRemarks()) {
-            reportUnreachableMarkerCalls(fn, name(), *ctx_,
-                                         "pre-promotion CFG cleanup");
-        }
-        ir::removeUnreachableBlocks(fn);
+        // Dropping unreachable blocks is a change even when nothing
+        // gets promoted.
+        const bool removed_blocks =
+            removeUnreachableBlocks(fn, name(), *ctx_,
+                                    "pre-promotion CFG cleanup") > 0;
+        if (removed_blocks)
+            ctx_->analyses.invalidate(fn);
 
         // Collect promotable allocas (lowering clusters them in entry,
         // but the inliner may leave them elsewhere; accept any block).
@@ -92,10 +94,10 @@ class Mem2Reg : public Pass {
             }
         }
         if (allocas.empty())
-            return false;
+            return removed_blocks;
 
-        ir::DominatorTree domtree(fn);
-        auto preds = ir::predecessorMap(fn);
+        const ir::DominatorTree &domtree = ctx_->analyses.domtree(fn);
+        const ir::PredecessorMap &preds = ctx_->analyses.preds(fn);
         const size_t num_blocks = fn.numBlocks();
 
         // Dominance frontiers (Cooper-Harvey-Kennedy), flat by block
@@ -188,13 +190,6 @@ class Mem2Reg : public Pass {
         }
 
         // Rename along the dominator tree.
-        std::vector<std::vector<BasicBlock *>> dom_children(num_blocks);
-        for (BasicBlock *block : domtree.rpo()) {
-            if (const BasicBlock *parent = domtree.idom(block)) {
-                dom_children[parent->indexInFn()].push_back(block);
-            }
-        }
-
         std::vector<Instr *> to_erase;
         std::vector<Value *> initial(allocas.size());
         for (size_t i = 0; i < allocas.size(); ++i) {
@@ -248,7 +243,7 @@ class Mem2Reg : public Pass {
                     phi->addIncoming(values[index], block);
             }
 
-            for (BasicBlock *child : dom_children[block->indexInFn()])
+            for (BasicBlock *child : domtree.children(block))
                 stack.push_back({child, values});
         }
 

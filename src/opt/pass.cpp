@@ -1,8 +1,9 @@
 #include "opt/pass.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "ir/cfg.hpp"
+#include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "support/markers.hpp"
 #include "support/trace.hpp"
@@ -19,7 +20,7 @@ namespace {
  */
 struct ModuleCensus {
     uint64_t instrs = 0;
-    std::unordered_map<unsigned, unsigned> markerCalls;
+    std::vector<unsigned> markerCalls;
 };
 
 ModuleCensus
@@ -32,9 +33,12 @@ takeCensus(const ir::Module &module)
             for (const auto &instr : block->instrs()) {
                 if (instr->opcode() != ir::Opcode::Call)
                     continue;
-                if (auto index = support::markerIndex(
-                        instr->callee->name()))
-                    ++census.markerCalls[*index];
+                auto index = support::markerIndex(instr->callee->name());
+                if (!index)
+                    continue;
+                if (*index >= census.markerCalls.size())
+                    census.markerCalls.resize(*index + 1, 0);
+                ++census.markerCalls[*index];
             }
         }
     }
@@ -43,116 +47,186 @@ takeCensus(const ir::Module &module)
 
 } // namespace
 
-void
-reportUnreachableMarkerCalls(const ir::Function &fn,
-                             const std::string &pass_name,
-                             const PassContext &ctx, const char *why)
+unsigned
+removeUnreachableBlocks(ir::Function &fn, const std::string &pass_name,
+                        const PassContext &ctx, const char *why)
 {
     if (!ctx.wantRemarks())
-        return;
-    if (fn.blocks().empty())
-        return;
-    std::unordered_set<const ir::BasicBlock *> reachable =
-        ir::reachableBlocks(fn);
-    for (const auto &block : fn.blocks()) {
-        if (reachable.count(block.get()))
-            continue;
-        for (const auto &instr : block->instrs()) {
+        return ir::removeUnreachableBlocks(fn);
+    return ir::removeUnreachableBlocks(fn, [&](const ir::BasicBlock &block) {
+        for (const auto &instr : block.instrs()) {
             if (instr->opcode() != ir::Opcode::Call)
                 continue;
             auto index = support::markerIndex(instr->callee->name());
             if (!index)
                 continue;
-            ctx.remark(support::RemarkKind::MarkerCallRemoved,
-                       pass_name, *index,
+            ctx.remark(support::RemarkKind::MarkerCallRemoved, pass_name,
+                       *index,
                        std::string("call in unreachable block '") +
-                           block->name() + "' of '" + fn.name() +
+                           block.name() + "' of '" + fn.name() +
                            "' removed (" + why + ")");
         }
-    }
+    });
 }
+
+void
+PassManager::add(std::unique_ptr<Pass> pass)
+{
+    // The pass class stands for its name: one class per pass.
+    const Pass &added = *pass;
+    std::pair<std::type_index, std::string> key{typeid(added),
+                                                added.flavour()};
+    auto it = std::find(keys_.begin(), keys_.end(), key);
+    keyOf_.push_back(static_cast<unsigned>(it - keys_.begin()));
+    if (it == keys_.end())
+        keys_.push_back(std::move(key));
+    passes_.push_back(std::move(pass));
+}
+
+namespace {
+
+/** Checking mode: why the pass's report disagrees with what it did to
+ * the module, or empty. */
+std::string
+misreport(const ir::Module &module, bool skipped, bool changed,
+          bool remarked, unsigned ids_before,
+          const std::string &printed_before)
+{
+    if (skipped && (changed || remarked)) {
+        return "skipped as unchanged but its run changed the module or "
+               "emitted a remark";
+    }
+    if (!changed && (module.valueIdBound() != ids_before ||
+                     ir::printModule(module) != printed_before))
+        return "returned false but changed the module";
+    return {};
+}
+
+} // namespace
 
 bool
 PassManager::run(ir::Module &module, bool verify_each)
 {
     // The census (and the per-pass instruction deltas riding on it)
-    // only runs when an observability sink is attached — the default
-    // pipeline keeps its old single-walk-free hot path.
+    // only runs when an observability sink is attached, and only after
+    // a pass that changed the module.
     const bool census_wanted = remarks_ != nullptr ||
                                metrics_ != nullptr;
     ModuleCensus before;
     if (census_wanted)
         before = takeCensus(module);
 
-    PassContext ctx;
+    PassContext ctx(/*checking=*/verify_each);
     ctx.remarks = remarks_;
     ctx.metrics = metrics_;
+
+    // Change-driven skipping. version counts the passes that changed
+    // the module; clean_at[key] is the version at which the last pass
+    // with that key returned false without emitting a remark. Running
+    // it again before anything changes would repeat the same
+    // deterministic no-op, so it is skipped.
+    constexpr uint64_t kNever = ~uint64_t{0};
+    uint64_t version = 0;
+    std::vector<uint64_t> clean_at(keys_.size(), kNever);
 
     bool changed = false;
     for (size_t i = 0; i < passes_.size(); ++i) {
         Pass &pass = *passes_[i];
+        const unsigned key = keyOf_[i];
         ctx.passIndex = static_cast<unsigned>(i);
+        const bool skip = clean_at[key] == version;
+        if (skip && !verify_each)
+            continue;
+
+        std::string printed_before;
+        unsigned ids_before = 0;
+        if (verify_each) {
+            printed_before = ir::printModule(module);
+            ids_before = module.valueIdBound();
+        }
+        const size_t remarks_before = remarks_ ? remarks_->size() : 0;
 
         // Pass names are cheap ("sccp") but must outlive the span;
         // keep the string on the stack for the duration.
         std::string pass_name;
-        support::Tracer &tracer = support::Tracer::global();
-        if (tracer.enabled())
-            pass_name = pass.name();
-        {
+        bool pass_changed;
+        if (skip) {
+            // Checking mode only: the skipped pass runs unrecorded.
+            pass_changed = pass.run(module, config_, ctx);
+        } else {
+            support::Tracer &tracer = support::Tracer::global();
+            if (tracer.enabled())
+                pass_name = pass.name();
             support::TraceSpan span(pass_name.empty()
                                         ? std::string_view("pass")
                                         : std::string_view(pass_name),
                                     "pass");
-            changed |= pass.run(module, config_, ctx);
+            pass_changed = pass.run(module, config_, ctx);
         }
+        const bool remarked =
+            remarks_ != nullptr && remarks_->size() != remarks_before;
+
+        if (verify_each) {
+            std::string problem = misreport(module, skip, pass_changed,
+                                            remarked, ids_before,
+                                            printed_before);
+            if (problem.empty())
+                problem = ctx.analyses.error();
+            if (problem.empty()) {
+                ir::VerifyResult result = ir::verifyModule(module);
+                if (!result.ok())
+                    problem = result.str();
+            }
+            if (!problem.empty()) {
+                lastError_ = "after pass '" + pass.name() + "':\n" +
+                             problem;
+                return changed;
+            }
+            if (skip)
+                continue;
+        }
+
+        if (!pass_changed) {
+            if (!remarked)
+                clean_at[key] = version;
+            continue;
+        }
+        ++version;
+        changed = true;
+        ctx.analyses.invalidateModule();
 
         if (census_wanted) {
             ModuleCensus after = takeCensus(module);
-            if (remarks_) {
-                // Authoritative attribution: a marker whose live-call
-                // count went >0 → 0 died during this pass. Counts
-                // cannot come back (inlining only clones existing
-                // calls), so this fires at most once per marker.
-                for (const auto &[marker, count] :
-                     before.markerCalls) {
-                    if (count == 0)
-                        continue;
-                    auto it = after.markerCalls.find(marker);
-                    if (it != after.markerCalls.end() &&
-                        it->second != 0)
-                        continue;
-                    if (pass_name.empty())
-                        pass_name = pass.name();
-                    remarks_->emit(
-                        support::RemarkKind::MarkerEliminated,
-                        pass_name, ctx.passIndex, marker,
-                        "last call to " +
-                            support::markerName(marker) +
-                            " eliminated");
-                }
+            // Authoritative attribution: a marker whose live-call
+            // count went >0 → 0 died during this pass. Counts cannot
+            // come back (inlining only clones existing calls), so this
+            // fires at most once per marker.
+            for (unsigned marker = 0;
+                 remarks_ && marker < before.markerCalls.size(); ++marker) {
+                if (before.markerCalls[marker] == 0 ||
+                    (marker < after.markerCalls.size() &&
+                     after.markerCalls[marker] != 0))
+                    continue;
+                if (pass_name.empty())
+                    pass_name = pass.name();
+                remarks_->emit(support::RemarkKind::MarkerEliminated,
+                               pass_name, ctx.passIndex, marker,
+                               "last call to " +
+                                   support::markerName(marker) +
+                                   " eliminated");
             }
-            if (metrics_) {
+            if (metrics_ && after.instrs != before.instrs) {
                 if (pass_name.empty())
                     pass_name = pass.name();
                 if (after.instrs < before.instrs) {
                     metrics_->counter("pass.instrs_removed", pass_name)
                         .add(before.instrs - after.instrs);
-                } else if (after.instrs > before.instrs) {
+                } else {
                     metrics_->counter("pass.instrs_added", pass_name)
                         .add(after.instrs - before.instrs);
                 }
             }
             before = std::move(after);
-        }
-
-        if (verify_each) {
-            ir::VerifyResult result = ir::verifyModule(module);
-            if (!result.ok()) {
-                lastError_ = "after pass '" + pass.name() + "':\n" +
-                             result.str();
-                return changed;
-            }
         }
     }
     return changed;

@@ -2,9 +2,15 @@
  * @file
  * Optimization pass framework: PassConfig (the feature flags that make
  * the two simulated compilers differ, per DESIGN.md §6), the Pass
- * interface, the PassContext observability handles threaded through
- * every pass, and the PassManager that runs a pipeline (optionally
- * verifying the IR after every pass).
+ * interface, the PassContext (observability handles plus the shared
+ * analysis cache) threaded through every pass, and the PassManager that
+ * runs a pipeline (optionally verifying the IR after every pass).
+ *
+ * Change-driven pipeline (DESIGN.md §18): the PassManager skips a pass
+ * that provably cannot change the module — one whose last run, with
+ * the same key (name plus flavour), changed nothing and nothing has
+ * changed since. Passes must therefore report changes honestly and be
+ * deterministic functions of (module, config).
  *
  * Observability (DESIGN.md §9): a PassManager can carry a
  * RemarkCollector and a MetricsRegistry. When a collector is attached
@@ -21,9 +27,12 @@
 
 #include <memory>
 #include <string>
+#include <typeindex>
+#include <utility>
 #include <vector>
 
 #include "ir/ir.hpp"
+#include "opt/analysis_cache.hpp"
 #include "support/metrics.hpp"
 #include "support/remarks.hpp"
 
@@ -131,22 +140,24 @@ struct PassConfig {
     bool instCombine = true;
     bool simplifyCfg = true;
     bool instructionDce = true;
-
-    /** Fixed-point iterations of the main scalar pipeline. */
-    unsigned pipelineIterations = 2;
 };
 
 /**
- * Observability handles for one pipeline execution, passed to every
- * pass. Both sinks are optional; null means "don't bother" and passes
- * must keep their hot path free of remark bookkeeping in that case
- * (check wantRemarks() before gathering evidence).
+ * Per-run state handed to every pass: the observability handles and the
+ * analysis cache. Both sinks are optional; null means "don't bother"
+ * and passes must keep their hot path free of remark bookkeeping in
+ * that case (check wantRemarks() before gathering evidence).
  */
 struct PassContext {
+    explicit PassContext(bool checking = false) : analyses(checking) {}
+
     support::RemarkCollector *remarks = nullptr;
     support::MetricsRegistry *metrics = nullptr;
     /// Position of the currently running pass in the pipeline.
     unsigned passIndex = 0;
+    /// Dominator trees, LoopInfo, EscapeInfo and MemorySummary shared
+    /// across the run; see analysis_cache.hpp for the rules.
+    AnalysisCache analyses;
 
     bool wantRemarks() const { return remarks != nullptr; }
 
@@ -168,32 +179,34 @@ class Pass {
     virtual ~Pass() = default;
 
     virtual std::string name() const = 0;
-    /** @return true if the module was changed. */
+    /** Distinguishes instances of one pass that behave differently
+     * under the same config (dse with and without exit DSE). Name plus
+     * flavour is the key the PassManager's skip rule tracks. */
+    virtual std::string flavour() const { return {}; }
+    /** @return true if the module was changed. Must be true whenever
+     * anything in the module changed, and the run must be a
+     * deterministic function of (module, config). */
     virtual bool run(ir::Module &module, const PassConfig &config,
                      PassContext &ctx) = 0;
 };
 
 /**
- * Emit a MarkerCallRemoved detail remark for every marker call inside
- * a block of @p fn that is unreachable from the entry. Passes that
- * clean up with ir::removeUnreachableBlocks call this immediately
- * before doing so — the scan only runs when a collector is attached.
+ * ir::removeUnreachableBlocks for passes: with a remark collector
+ * attached, every marker call in a doomed block first gets a
+ * MarkerCallRemoved detail remark naming @p pass_name and @p why.
+ * @return number of blocks removed.
  */
-void reportUnreachableMarkerCalls(const ir::Function &fn,
-                                  const std::string &pass_name,
-                                  const PassContext &ctx,
-                                  const char *why);
+unsigned removeUnreachableBlocks(ir::Function &fn,
+                                 const std::string &pass_name,
+                                 const PassContext &ctx, const char *why);
 
-/** Runs a pass sequence; optionally verifies after every pass. */
+/** Runs a pass sequence, skipping passes that cannot change the
+ * module; optionally verifies after every pass. */
 class PassManager {
   public:
     explicit PassManager(PassConfig config) : config_(std::move(config)) {}
 
-    void
-    add(std::unique_ptr<Pass> pass)
-    {
-        passes_.push_back(std::move(pass));
-    }
+    void add(std::unique_ptr<Pass> pass);
 
     const PassConfig &config() const { return config_; }
 
@@ -212,9 +225,17 @@ class PassManager {
     }
 
     /**
-     * Run every pass in order. When @p verify_each is true (tests), IR
-     * verification runs after each pass and a failure aborts via
-     * assert with the offending pass named in `lastError`.
+     * Run the passes in order. A pass is skipped when the last pass
+     * with its key returned false without a remark and no pass has
+     * changed the module since.
+     *
+     * When @p verify_each is true (tests) the run is in checking mode:
+     * the IR is verified after each pass; every analysis-cache hit is
+     * recomputed and compared; a pass that returns false must leave
+     * the printed module and the value-id counter unchanged; every pass
+     * that would have been skipped runs anyway and must report no
+     * change, change nothing and emit no remark. The first failure
+     * stops the run with the offending pass named in `lastError`.
      * @return true if any pass changed the module.
      */
     bool run(ir::Module &module, bool verify_each = false);
@@ -225,6 +246,9 @@ class PassManager {
   private:
     PassConfig config_;
     std::vector<std::unique_ptr<Pass>> passes_;
+    /// Per pass, a dense index of its key (name + flavour).
+    std::vector<unsigned> keyOf_;
+    std::vector<std::pair<std::type_index, std::string>> keys_;
     std::string lastError_;
     support::RemarkCollector *remarks_ = nullptr;
     support::MetricsRegistry *metrics_ = nullptr;

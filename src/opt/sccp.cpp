@@ -113,6 +113,8 @@ class Sccp : public Pass {
         LatticeValue &current = lattice_[value->id()];
         if (current.isBottom())
             return;
+        if (current.isTop())
+            raised_.push_back(value->id());
         bool changed = false;
         if (incoming.isBottom()) {
             current = LatticeValue::bottom();
@@ -361,7 +363,11 @@ class Sccp : public Pass {
         // params resolve directly in operandLattice), executability by
         // block index. SCCP is a monotone framework, so the fixpoint
         // is unique regardless of worklist order.
-        lattice_.assign(module.valueIdBound(), LatticeValue{});
+        // lattice_ is all-Top between functions: only the entries
+        // raised here are reset afterwards, so a function's run costs
+        // its own size, not the module's value count.
+        if (lattice_.size() < module.valueIdBound())
+            lattice_.resize(module.valueIdBound());
         executableSuccs_.assign(fn.numBlocks(), {});
         executableBlocks_.assign(fn.numBlocks(), 0);
         ssaWorklist_.clear();
@@ -429,12 +435,17 @@ class Sccp : public Pass {
                 ++i;
             }
         }
+        for (unsigned id : raised_)
+            lattice_[id] = LatticeValue{};
+        raised_.clear();
         return changed;
     }
 
     const PassConfig *config_ = nullptr;
     PassContext *ctx_ = nullptr;
     std::vector<LatticeValue> lattice_;
+    /// Ids whose lattice entry left Top during the current function.
+    std::vector<unsigned> raised_;
     std::vector<support::SmallVector<const BasicBlock *, 2>>
         executableSuccs_;
     std::vector<unsigned char> executableBlocks_;

@@ -39,20 +39,29 @@ class SimplifyCfg : public Pass {
         for (const auto &fn : module.functions()) {
             if (fn->isDeclaration())
                 continue;
-            while (iterate(*fn))
+            bool fn_changed = false;
+            while (iterate(*fn, /*first=*/!fn_changed))
+                fn_changed = true;
+            if (fn_changed) {
+                ctx.analyses.invalidate(*fn);
                 changed = true;
+            }
         }
         ctx_ = nullptr;
         return changed;
     }
 
   private:
-    /** One cleanup sweep; returns true if anything changed. */
+    /** One cleanup sweep; returns true if anything changed. Only the
+     * @p first sweep can meet blocks left unreachable by other passes:
+     * a sweep ends with every block reachable, because merging and
+     * skipping blocks only reroute paths that already existed. */
     bool
-    iterate(Function &fn)
+    iterate(Function &fn, bool first)
     {
         bool changed = false;
-        changed |= removeUnreachable(fn, "dangling unreachable code");
+        if (first)
+            changed |= removeUnreachable(fn, "dangling unreachable code");
         if (foldConstantTerminators(fn)) {
             changed = true;
             changed |= removeUnreachable(fn, "constant branch folded");
@@ -68,9 +77,7 @@ class SimplifyCfg : public Pass {
     bool
     removeUnreachable(Function &fn, const char *why)
     {
-        if (ctx_ && ctx_->wantRemarks())
-            reportUnreachableMarkerCalls(fn, name(), *ctx_, why);
-        return ir::removeUnreachableBlocks(fn) > 0;
+        return removeUnreachableBlocks(fn, name(), *ctx_, why) > 0;
     }
 
     bool
@@ -173,7 +180,10 @@ class SimplifyCfg : public Pass {
     {
         bool changed = false;
         for (const auto &block : fn.blocks()) {
-            for (Instr *phi : block->phis()) {
+            for (size_t index = 0; index < block->size();) {
+                Instr *phi = block->instrs()[index].get();
+                if (phi->opcode() != Opcode::Phi)
+                    break;
                 // Single distinct incoming value (or self-references
                 // plus one value) collapses to that value.
                 Value *unique_value = nullptr;
@@ -192,7 +202,9 @@ class SimplifyCfg : public Pass {
                     phi->replaceAllUsesWith(unique_value);
                     block->erase(phi);
                     changed = true;
+                    continue;
                 }
+                ++index;
             }
         }
         return changed;
@@ -260,7 +272,8 @@ class SimplifyCfg : public Pass {
         // stable. Candidates this sweep passes over (e.g. a conflict
         // that a later redirect resolves) are picked up by the
         // caller's fixpoint loop.
-        std::vector<std::vector<BasicBlock *>> preds(fn.numBlocks());
+        std::vector<support::SmallVector<BasicBlock *, 2>> preds(
+            fn.numBlocks());
         for (const auto &owned : fn.blocks()) {
             for (BasicBlock *succ : owned->successors())
                 preds[succ->indexInFn()].push_back(owned.get());
@@ -278,14 +291,14 @@ class SimplifyCfg : public Pass {
             BasicBlock *target = term->blockOperands()[0];
             if (target == block)
                 continue;
-            std::vector<BasicBlock *> &block_preds =
+            support::SmallVector<BasicBlock *, 2> &block_preds =
                 preds[block->indexInFn()];
             if (block_preds.empty())
                 continue;
             // Ambiguity guard: if the target has phis and some pred
             // already branches to it, redirecting would create
             // duplicate-pred entries with possibly different values.
-            if (!target->phis().empty()) {
+            if (target->hasPhis()) {
                 bool conflict = false;
                 for (BasicBlock *pred : block_preds) {
                     for (BasicBlock *succ : pred->successors())
@@ -311,18 +324,16 @@ class SimplifyCfg : public Pass {
             // Maintain the lists: target loses the edge from `block`
             // and gains every redirected edge; nothing reaches
             // `block` any more.
-            std::vector<BasicBlock *> &target_preds =
+            support::SmallVector<BasicBlock *, 2> &target_preds =
                 preds[target->indexInFn()];
             for (size_t i = 0; i < target_preds.size(); ++i) {
                 if (target_preds[i] == block) {
-                    target_preds.erase(target_preds.begin() +
-                                       static_cast<ptrdiff_t>(i));
+                    target_preds.erase(target_preds.begin() + i);
                     break;
                 }
             }
-            target_preds.insert(target_preds.end(),
-                                block_preds.begin(),
-                                block_preds.end());
+            for (BasicBlock *pred : block_preds)
+                target_preds.push_back(pred);
             block_preds.clear();
             skipped.push_back(block);
         }

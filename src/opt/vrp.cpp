@@ -47,14 +47,17 @@ class Vrp : public Pass {
     std::string name() const override { return "vrp"; }
 
     bool
-    run(Module &module, const PassConfig &config, PassContext &) override
+    run(Module &module, const PassConfig &config,
+        PassContext &ctx) override
     {
         config_ = &config;
         module_ = &module;
         bool changed = false;
         for (const auto &fn : module.functions()) {
-            if (!fn->isDeclaration())
-                changed |= runOnFunction(*fn);
+            if (!fn->isDeclaration()) {
+                changed |= runOnFunction(*fn, ctx.analyses.domtree(*fn),
+                                         ctx.analyses.preds(*fn));
+            }
         }
         return changed;
     }
@@ -188,18 +191,9 @@ class Vrp : public Pass {
     }
 
     bool
-    runOnFunction(Function &fn)
+    runOnFunction(Function &fn, const ir::DominatorTree &domtree,
+                  const ir::PredecessorMap &preds)
     {
-        ir::DominatorTree domtree(fn);
-        auto preds = ir::predecessorMap(fn);
-        std::unordered_map<const BasicBlock *,
-                           std::vector<BasicBlock *>>
-            dom_children;
-        for (BasicBlock *block : domtree.rpo()) {
-            if (const BasicBlock *parent = domtree.idom(block))
-                dom_children[parent].push_back(block);
-        }
-
         bool changed = false;
         struct Frame {
             BasicBlock *block;
@@ -235,11 +229,8 @@ class Vrp : public Pass {
 
             changed |= applyFacts(*block);
 
-            auto children = dom_children.find(block);
-            if (children != dom_children.end()) {
-                for (BasicBlock *child : children->second)
-                    stack.push_back({child, 0, true});
-            }
+            for (BasicBlock *child : domtree.children(block))
+                stack.push_back({child, 0, true});
         }
         facts_.clear();
         return changed;

@@ -358,9 +358,9 @@ HttpServer::handleConnection(int fd)
         wire += "\r\n" + name + ": " + value;
     wire += "\r\nConnection: close\r\n\r\n";
     wire += response.body;
-    sendAll(fd, wire);
-    ::close(fd);
 
+    // Meter before the response leaves: a client (or a /metrics
+    // scrape) that has seen the response must also see it counted.
     served_.fetch_add(1, std::memory_order_relaxed);
     requests_->add();
     requestUs_->observe(static_cast<uint64_t>(
@@ -373,6 +373,9 @@ HttpServer::handleConnection(int fd)
     registry
         .counter("serve.responses", std::to_string(response.status))
         .add();
+
+    sendAll(fd, wire);
+    ::close(fd);
 }
 
 } // namespace dce::serve

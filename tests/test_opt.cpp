@@ -2,13 +2,21 @@
  * against the interpreter, and the engineered capability knobs. */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "compiler/compiler.hpp"
+#include "gen/generator.hpp"
 #include "helpers.hpp"
+#include "instrument/instrument.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/builder.hpp"
 #include "ir/lowering.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "lang/parser.hpp"
+#include "opt/pass.hpp"
+#include "support/remarks.hpp"
 
 namespace dce {
 namespace {
@@ -571,6 +579,364 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0, 2),
         ::testing::Range(0, static_cast<int>(
                                 std::size(kValidationPrograms)))));
+
+//===------------------------------------------------------------------===//
+// Determinism, the analysis cache and the change-driven pipeline
+//===------------------------------------------------------------------===//
+
+std::unique_ptr<ir::Module>
+lowerGenerated(uint64_t seed)
+{
+    auto unit = gen::generateProgram(seed);
+    instrument::Instrumented prog = instrument::instrumentUnit(*unit);
+    return ir::lowerToIr(*prog.unit);
+}
+
+/** Allocate and free blocks of assorted sizes, keeping every third
+ * alive, so later allocations land at different addresses. */
+std::vector<std::unique_ptr<char[]>>
+churnHeap(uint64_t seed)
+{
+    std::vector<std::unique_ptr<char[]>> kept;
+    uint64_t state = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    for (int i = 0; i < 3000; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        auto block = std::make_unique<char[]>(16 + (state >> 33) % 4096);
+        block[0] = static_cast<char>(i);
+        if (i % 3 == 0)
+            kept.push_back(std::move(block));
+    }
+    return kept;
+}
+
+TEST(OptDeterminism, SameModuleCompilesIdenticallyAcrossHeapLayouts)
+{
+    for (uint64_t seed = 8000; seed < 8200; ++seed) {
+        std::unique_ptr<ir::Module> lowered = lowerGenerated(seed);
+        for (CompilerId id : {CompilerId::Alpha, CompilerId::Beta}) {
+            Compiler comp(id, OptLevel::O3);
+            std::string first =
+                ir::printModule(comp.compileLowered(*lowered).module());
+            auto churn = churnHeap(seed);
+            std::string second =
+                ir::printModule(comp.compileLowered(*lowered).module());
+            ASSERT_EQ(first, second)
+                << comp.describe() << " seed " << seed
+                << " compiled differently after heap churn";
+        }
+    }
+}
+
+/** Checking mode over generated programs: every cached analysis is
+ * recomputed on each hit, every skipped pass runs anyway, and every
+ * pass that reports no change must change nothing. */
+class CheckingSweep
+    : public ::testing::TestWithParam<std::tuple<CompilerId, OptLevel>> {};
+
+TEST_P(CheckingSweep, NoStaleAnalysisAndNoUnsoundSkip)
+{
+    auto [id, level] = GetParam();
+    Compiler comp(id, level);
+    for (uint64_t seed = 9000; seed < 9200; ++seed) {
+        std::unique_ptr<ir::Module> lowered = lowerGenerated(seed);
+        compiler::Compilation result =
+            comp.compileLowered(*lowered, /*verify_each=*/true);
+        ASSERT_TRUE(result.ok())
+            << comp.describe() << " seed " << seed << ":\n"
+            << result.error();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Builds, CheckingSweep,
+    ::testing::Combine(::testing::Values(CompilerId::Alpha,
+                                         CompilerId::Beta),
+                       ::testing::Values(OptLevel::O1, OptLevel::Os,
+                                         OptLevel::O2, OptLevel::O3)));
+
+/** main: entry -> exit, returning 0; exit is blocks()[1]. */
+std::unique_ptr<ir::Module>
+twoBlockMain()
+{
+    auto module = std::make_unique<ir::Module>();
+    ir::Function *main_fn = module->addFunction(
+        "main", ir::IrType::i32(), /*internal=*/false);
+    ir::BasicBlock *entry = main_fn->addBlock("entry");
+    ir::BasicBlock *exit = main_fn->addBlock("exit");
+    ir::IrBuilder builder(*module);
+    builder.setInsertionBlock(entry);
+    builder.br(exit);
+    builder.setInsertionBlock(exit);
+    builder.ret(module->i32Const(0));
+    return module;
+}
+
+/** Reroutes entry -> exit through a new block after reading the
+ * dominator tree, then reads it again unless @p rpo_after is null. */
+class RerouteEntryPass : public opt::Pass {
+  public:
+    RerouteEntryPass(bool invalidate, size_t *rpo_after)
+        : invalidate_(invalidate), rpoAfter_(rpo_after)
+    {
+    }
+    std::string name() const override { return "reroute"; }
+
+    bool
+    run(ir::Module &module, const opt::PassConfig &,
+        opt::PassContext &ctx) override
+    {
+        ir::Function &fn = *module.getFunction("main");
+        EXPECT_EQ(ctx.analyses.domtree(fn).rpo().size(), 2u);
+        ir::BasicBlock *exit = fn.blocks()[1].get();
+        ir::BasicBlock *mid = fn.addBlock("mid");
+        ir::IrBuilder builder(module);
+        builder.setInsertionBlock(mid);
+        builder.br(exit);
+        fn.entry()->terminator()->replaceSuccessor(exit, mid);
+        if (invalidate_)
+            ctx.analyses.invalidate(fn);
+        if (rpoAfter_)
+            *rpoAfter_ = ctx.analyses.domtree(fn).rpo().size();
+        return true;
+    }
+
+  private:
+    bool invalidate_;
+    size_t *rpoAfter_;
+};
+
+TEST(AnalysisCache, MutatingPassMustInvalidateBeforeRequerying)
+{
+    for (bool invalidate : {false, true}) {
+        for (bool checking : {false, true}) {
+            auto module = twoBlockMain();
+            size_t rpo_after = 0;
+            opt::PassManager pm{opt::PassConfig{}};
+            pm.add(std::make_unique<RerouteEntryPass>(invalidate,
+                                                      &rpo_after));
+            pm.run(*module, checking);
+            // Without invalidate() the cache hands back the tree of
+            // the two-block CFG; checking mode catches it.
+            EXPECT_EQ(rpo_after, invalidate ? 3u : 2u);
+            if (checking && !invalidate) {
+                // The predecessor lists under the tree go stale first.
+                EXPECT_NE(pm.lastError().find(
+                              "stale cached predecessor lists of 'main'"),
+                          std::string::npos)
+                    << pm.lastError();
+            } else {
+                EXPECT_EQ(pm.lastError(), "");
+            }
+        }
+    }
+}
+
+/** Records the size of main's dominator-tree RPO. */
+class DomtreeReaderPass : public opt::Pass {
+  public:
+    explicit DomtreeReaderPass(size_t *rpo_size) : rpoSize_(rpo_size) {}
+    std::string name() const override { return "domreader"; }
+
+    bool
+    run(ir::Module &module, const opt::PassConfig &,
+        opt::PassContext &ctx) override
+    {
+        *rpoSize_ =
+            ctx.analyses.domtree(*module.getFunction("main")).rpo().size();
+        return false;
+    }
+
+  private:
+    size_t *rpoSize_;
+};
+
+TEST(AnalysisCache, CfgAnalysesOutliveChangingPassesOnlyIfInvalidated)
+{
+    // CFG analyses survive a pass that returns true; the pass that
+    // edited the CFG must have invalidated the function.
+    for (bool invalidate : {false, true}) {
+        for (bool checking : {false, true}) {
+            auto module = twoBlockMain();
+            size_t before = 0;
+            size_t after = 0;
+            opt::PassManager pm{opt::PassConfig{}};
+            pm.add(std::make_unique<DomtreeReaderPass>(&before));
+            pm.add(std::make_unique<RerouteEntryPass>(invalidate, nullptr));
+            pm.add(std::make_unique<DomtreeReaderPass>(&after));
+            pm.run(*module, checking);
+            EXPECT_EQ(before, 2u);
+            EXPECT_EQ(after, invalidate ? 3u : 2u);
+            if (checking && !invalidate) {
+                EXPECT_NE(pm.lastError().find(
+                              "stale cached predecessor lists of 'main'"),
+                          std::string::npos)
+                    << pm.lastError();
+            } else {
+                EXPECT_EQ(pm.lastError(), "");
+            }
+        }
+    }
+}
+
+/** Counts its runs; reports `reports` and, when `mutates`, appends an
+ * unused instruction to main's entry whatever it reports. */
+class ProbePass : public opt::Pass {
+  public:
+    ProbePass(unsigned *runs, bool reports, std::string flavour = "",
+              bool mutates = false)
+        : runs_(runs), reports_(reports), flavour_(std::move(flavour)),
+          mutates_(mutates)
+    {
+    }
+    std::string name() const override { return "probe"; }
+    std::string flavour() const override { return flavour_; }
+
+    bool
+    run(ir::Module &module, const opt::PassConfig &,
+        opt::PassContext &) override
+    {
+        ++*runs_;
+        if (mutates_) {
+            ir::BasicBlock *entry = module.getFunction("main")->entry();
+            auto add = module.newInstr(ir::Opcode::Bin, ir::IrType::i32());
+            add->addOperand(module.i32Const(1));
+            add->addOperand(module.i32Const(2));
+            add->setId(module.nextValueId());
+            entry->insertBefore(0, std::move(add));
+        }
+        return reports_;
+    }
+
+  private:
+    unsigned *runs_;
+    bool reports_;
+    std::string flavour_;
+    bool mutates_;
+};
+
+TEST(ChangeDrivenPipeline, SkipsRepeatsOnlyWhileNothingChanges)
+{
+    struct Case {
+        const char *what;
+        std::vector<std::pair<bool, std::string>> probes;
+        unsigned runs;
+    };
+    const std::vector<Case> cases = {
+        {"repeat at the same version", {{false, ""}, {false, ""}}, 1},
+        {"a change in between",
+         {{false, ""}, {true, "x"}, {false, ""}},
+         3},
+        {"another flavour", {{false, "a"}, {false, "b"}}, 2},
+    };
+    for (const Case &c : cases) {
+        for (bool checking : {false, true}) {
+            auto module = twoBlockMain();
+            unsigned runs = 0;
+            opt::PassManager pm{opt::PassConfig{}};
+            for (const auto &[reports, flavour] : c.probes)
+                pm.add(std::make_unique<ProbePass>(&runs, reports,
+                                                   flavour));
+            pm.run(*module, checking);
+            EXPECT_EQ(pm.lastError(), "") << c.what;
+            // Checking mode runs the skipped pass anyway.
+            EXPECT_EQ(runs, checking ? c.probes.size() : c.runs)
+                << c.what << (checking ? " (checking)" : "");
+        }
+    }
+}
+
+TEST(ChangeDrivenPipeline, CheckingModeCatchesUnderReportingPasses)
+{
+    auto module = twoBlockMain();
+    unsigned runs = 0;
+    opt::PassManager pm{opt::PassConfig{}};
+    pm.add(std::make_unique<ProbePass>(&runs, /*reports=*/false, "",
+                                       /*mutates=*/true));
+    pm.run(*module, /*verify_each=*/true);
+    EXPECT_NE(pm.lastError().find("returned false but changed the module"),
+              std::string::npos)
+        << pm.lastError();
+}
+
+TEST(ChangeDrivenPipeline, CheckingModeCatchesUnsoundSkips)
+{
+    // The second probe shares the first's key but changes the module:
+    // a pass that is not a function of (module, config).
+    auto module = twoBlockMain();
+    unsigned runs = 0;
+    opt::PassManager pm{opt::PassConfig{}};
+    pm.add(std::make_unique<ProbePass>(&runs, /*reports=*/false));
+    pm.add(std::make_unique<ProbePass>(&runs, /*reports=*/true, "",
+                                       /*mutates=*/true));
+    pm.run(*module, /*verify_each=*/true);
+    EXPECT_NE(pm.lastError().find("skipped as unchanged"),
+              std::string::npos)
+        << pm.lastError();
+}
+
+TEST(ChangeDrivenPipeline, Mem2RegReportsUnreachableBlockRemoval)
+{
+    // No allocas to promote, but an unreachable block to drop.
+    auto module = twoBlockMain();
+    ir::Function *main_fn = module->getFunction("main");
+    ir::BasicBlock *orphan = main_fn->addBlock("orphan");
+    ir::IrBuilder builder(*module);
+    builder.setInsertionBlock(orphan);
+    builder.br(main_fn->blocks()[1].get());
+
+    opt::PassManager pm{opt::PassConfig{}};
+    pm.add(opt::createMem2RegPass());
+    EXPECT_TRUE(pm.run(*module, /*verify_each=*/true)) << pm.lastError();
+    EXPECT_EQ(pm.lastError(), "");
+    EXPECT_EQ(main_fn->numBlocks(), 2u);
+}
+
+TEST(GlobalDce, ErasesOrphanChainsInRescanOrder)
+{
+    // f0 is uncalled and calls f2; f2 calls f1. A rescan after every
+    // erase removes f0, then f2, then f1; each holds a marker call, so
+    // the remark stream records that order.
+    ir::Module module;
+    ir::Function *main_fn =
+        module.addFunction("main", ir::IrType::i32(), false);
+    std::vector<ir::Function *> fns;
+    for (int i = 0; i < 3; ++i) {
+        fns.push_back(module.addFunction("f" + std::to_string(i),
+                                         ir::IrType::voidTy(), true));
+    }
+    ir::IrBuilder builder(module);
+    auto body = [&](ir::Function *fn, unsigned marker,
+                    ir::Function *callee) {
+        builder.setInsertionBlock(fn->addBlock("entry"));
+        builder.call(module.addFunction("DCEMarker" +
+                                            std::to_string(marker),
+                                        ir::IrType::voidTy(), false),
+                     {});
+        if (callee)
+            builder.call(callee, {});
+        builder.retVoid();
+    };
+    body(fns[0], 0, fns[2]);
+    body(fns[1], 1, nullptr);
+    body(fns[2], 2, fns[1]);
+    builder.setInsertionBlock(main_fn->addBlock("entry"));
+    builder.ret(module.i32Const(0));
+
+    support::RemarkCollector remarks;
+    opt::PassManager pm{opt::PassConfig{}};
+    pm.add(opt::createGlobalDcePass());
+    pm.setRemarks(&remarks);
+    EXPECT_TRUE(pm.run(module, /*verify_each=*/true)) << pm.lastError();
+    EXPECT_EQ(module.getFunction("f0"), nullptr);
+    EXPECT_EQ(module.getFunction("f1"), nullptr);
+    EXPECT_EQ(module.getFunction("f2"), nullptr);
+    std::vector<unsigned> removed;
+    for (const support::Remark &remark : remarks.remarks()) {
+        if (remark.kind == support::RemarkKind::MarkerCallRemoved)
+            removed.push_back(remark.marker);
+    }
+    EXPECT_EQ(removed, (std::vector<unsigned>{0, 2, 1}));
+}
 
 } // namespace
 } // namespace dce
