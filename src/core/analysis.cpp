@@ -44,11 +44,14 @@ GroundTruth
 groundTruthFor(const ir::Module &lowered, unsigned marker_count)
 {
     GroundTruth truth;
-    interp::ExecResult result = interp::execute(lowered);
+    interp::ExecLimits limits;
+    limits.recordBlocks = true;
+    interp::ExecResult result = interp::execute(lowered, "main", limits);
     truth.status = result.status;
     if (!result.ok())
         return truth; // timeout/trap: unusable for ground truth
     truth.valid = true;
+    truth.executedBlocks = std::move(result.executedBlocks);
     for (const std::string &name : result.calledExternals) {
         if (auto index = markerIndex(name))
             truth.aliveMarkers.insert(*index);
@@ -72,6 +75,13 @@ groundTruth(const Instrumented &prog)
 //===------------------------------------------------------------------===//
 
 PrimaryAnalysis::PrimaryAnalysis(const ir::Module &lowered)
+    : PrimaryAnalysis(lowered, groundTruthFor(lowered, 0))
+{
+}
+
+PrimaryAnalysis::PrimaryAnalysis(const ir::Module &lowered,
+                                 const GroundTruth &truth)
+    : valid_(truth.valid), executedBlocks_(truth.executedBlocks)
 {
     // Interprocedural CFG view over the O0 module: per-block
     // predecessor lists, where a function entry's predecessors are all
@@ -98,13 +108,6 @@ PrimaryAnalysis::PrimaryAnalysis(const ir::Module &lowered)
             }
         }
     }
-
-    // Block-level execution ground truth.
-    interp::ExecLimits limits;
-    limits.recordBlocks = true;
-    interp::ExecResult run = interp::execute(lowered, "main", limits);
-    valid_ = run.ok();
-    executedBlocks_ = std::move(run.executedBlocks);
 }
 
 std::set<unsigned>

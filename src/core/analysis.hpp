@@ -71,12 +71,16 @@ struct GroundTruth {
     interp::ExecStatus status = interp::ExecStatus::Ok;
     std::set<unsigned> aliveMarkers; ///< executed at least once
     std::set<unsigned> deadMarkers;  ///< never executed
+    /** Blocks of the executed module entered at least once — the
+     * block-level truth PrimaryAnalysis needs. Pointers into that
+     * module; keep it alive while using them. */
+    std::unordered_set<const ir::BasicBlock *> executedBlocks;
 };
 
 GroundTruth groundTruth(const instrument::Instrumented &prog);
 
 /** Ground truth from an already-lowered O0 module of a program with
- * @p marker_count markers. */
+ * @p marker_count markers: one execution, recording its blocks. */
 GroundTruth groundTruthFor(const ir::Module &lowered,
                            unsigned marker_count);
 
@@ -113,8 +117,8 @@ missedMarkers(const std::set<unsigned> &alive_in_asm,
 
 /**
  * §3.2's primary-missed-block analysis, factored so its per-program
- * setup — the interprocedural CFG over the O0 lowering plus one
- * block-recording execution — is built once and then queried per
+ * setup — the interprocedural CFG over the O0 lowering plus the
+ * execution's block-level truth — is built once and then queried per
  * build. A missed marker is secondary when a backwards walk from its
  * block, through dead detected-or-markerless blocks, reaches another
  * missed marker's block.
@@ -123,6 +127,10 @@ missedMarkers(const std::set<unsigned> &alive_in_asm,
  */
 class PrimaryAnalysis {
   public:
+    /** Reuses @p truth's executed blocks; @p truth must come from
+     * groundTruthFor(@p lowered, ...). */
+    PrimaryAnalysis(const ir::Module &lowered, const GroundTruth &truth);
+    /** Executes @p lowered for its block truth. */
     explicit PrimaryAnalysis(const ir::Module &lowered);
 
     /** Block-level ground truth executed cleanly; when false,

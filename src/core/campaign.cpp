@@ -340,8 +340,9 @@ processSeed(uint64_t seed, const std::vector<BuildSpec> &builds,
     if (options.collectRemarks)
         record.kills.resize(builds.size());
 
-    // Built lazily on the first build with missed markers; the CFG and
-    // block-recording execution then serve every remaining build.
+    // Built lazily on the first build with missed markers, from the
+    // ground-truth run's executed blocks; the CFG then serves every
+    // remaining build.
     std::optional<PrimaryAnalysis> primary_analysis;
 
     for (size_t b = 0; b < builds.size(); ++b) {
@@ -383,7 +384,7 @@ processSeed(uint64_t seed, const std::vector<BuildSpec> &builds,
             t0 = Clock::now();
             support::TraceSpan primary_span("primary", "campaign");
             if (!primary_analysis) {
-                primary_analysis.emplace(*lowered);
+                primary_analysis.emplace(*lowered, truth);
                 ++local.cacheHits;
             }
             record.primary[b] =

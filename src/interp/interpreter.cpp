@@ -26,15 +26,41 @@ using ir::ValueKind;
 
 namespace {
 
-/** One allocated memory object (global, or an executed alloca). */
+/** One memory object (global, or an executed alloca): `count` slots of
+ * the machine's memory starting at `first`. */
 struct MemObject {
-    std::vector<IValue> slots;
+    size_t first = 0;
+    uint64_t count = 0;
     IrType elementType;
 };
 
 /** Thrown internally to unwind on timeout/trap. */
 struct ExecStop {
     ExecStatus status;
+};
+
+/** Frame layout of one function, computed on its first call. Every
+ * non-void instruction owns slot `id() - base`; ir::verifyModule keeps
+ * those ids non-zero and unique within a module (DESIGN.md §19). */
+struct FrameShape {
+    unsigned base = 0;
+    unsigned span = 0;
+    /** Blocks entered, by BasicBlock::indexInFn() (recordBlocks only). */
+    std::vector<uint8_t> entered;
+};
+
+/** One activation's view of the frame stack: its arguments, then its
+ * instruction slots. Raw pointers, so refresh after every call — the
+ * callee's push may move the stack. */
+struct Frame {
+    IValue *args;
+    IValue *slots;
+    unsigned base;
+
+    IValue &operator[](const Instr *instr) const
+    {
+        return slots[instr->id() - base];
+    }
 };
 
 class Machine {
@@ -55,17 +81,29 @@ class Machine {
             return result;
         }
         try {
-            IValue ret = callFunction(*fn, {});
+            growStack(fn->params().size());
+            IValue ret = callFunction(*fn, 0);
             result.status = ExecStatus::Ok;
             result.exitValue = ret.i;
         } catch (ExecStop &stop) {
             result.status = stop.status;
         }
         result.steps = steps_;
-        result.executedBlocks = std::move(executedBlocks_);
-        result.callTrace = std::move(callTrace_);
-        for (const std::string &name : result.callTrace)
-            result.calledExternals.insert(name);
+        for (const auto &[function, shape] : shapes_) {
+            for (size_t i = 0; i < shape.entered.size(); ++i) {
+                if (shape.entered[i])
+                    result.executedBlocks.insert(
+                        function->blocks()[i].get());
+            }
+        }
+        result.callTrace.reserve(callTrace_.size());
+        for (const Function *callee : callTrace_)
+            result.callTrace.push_back(callee->name());
+        std::sort(callTrace_.begin(), callTrace_.end());
+        callTrace_.erase(std::unique(callTrace_.begin(), callTrace_.end()),
+                         callTrace_.end());
+        for (const Function *callee : callTrace_)
+            result.calledExternals.insert(callee->name());
         snapshotGlobals(result);
         return result;
     }
@@ -74,32 +112,33 @@ class Machine {
     void
     initGlobals()
     {
-        // Two passes: allocate all objects, then fill address inits.
+        // Global i is object i. Two passes: allocate all objects, then
+        // fill address inits.
+        unsigned id_bound = 0;
+        for (const auto &global : module_.globals())
+            id_bound = std::max(id_bound, global->id() + 1);
+        globalObject_.assign(id_bound, -1);
         for (const auto &global : module_.globals()) {
-            MemObject object;
-            object.elementType = global->elementType();
-            object.slots.assign(global->count(),
-                                zeroOf(global->elementType()));
-            globalObject_[global.get()] =
-                static_cast<int32_t>(objects_.size());
-            objects_.push_back(std::move(object));
+            globalObject_[global->id()] =
+                allocate(global->elementType(), global->count());
         }
         for (const auto &global : module_.globals()) {
-            MemObject &object =
-                objects_[static_cast<size_t>(globalObject_.at(global.get()))];
+            const MemObject &object = objects_[static_cast<size_t>(
+                globalObject_[global->id()])];
+            IValue *slots = memory_.data() + object.first;
             for (size_t i = 0;
-                 i < global->init.size() && i < object.slots.size(); ++i) {
+                 i < global->init.size() && i < object.count; ++i) {
                 const ir::GlobalInit &init = global->init[i];
                 if (init.isAddress()) {
                     PtrVal ptr;
-                    ptr.obj = globalObject_.at(init.base);
+                    ptr.obj = globalObject_[init.base->id()];
                     ptr.index = init.value;
-                    object.slots[i] = IValue::ptrValue(ptr);
+                    slots[i] = IValue::ptrValue(ptr);
                 } else if (global->elementType().isPtr()) {
                     assert(init.value == 0 && "int init of pointer slot");
-                    object.slots[i] = IValue::ptrValue(PtrVal{});
+                    slots[i] = IValue::ptrValue(PtrVal{});
                 } else {
-                    object.slots[i] = IValue::intValue(
+                    slots[i] = IValue::intValue(
                         wrapInt(init.value, global->elementType().bits,
                                 global->elementType().isSigned));
                 }
@@ -115,6 +154,15 @@ class Machine {
         return IValue::intValue(0);
     }
 
+    /** A fresh zero-filled object of @p count slots; its id. */
+    int32_t
+    allocate(IrType type, uint64_t count)
+    {
+        objects_.push_back({memory_.size(), count, type});
+        memory_.resize(memory_.size() + count, zeroOf(type));
+        return static_cast<int32_t>(objects_.size() - 1);
+    }
+
     void
     snapshotGlobals(ExecResult &result) const
     {
@@ -127,7 +175,7 @@ class Machine {
             if (global->isInternal())
                 continue;
             const MemObject &object = objects_[static_cast<size_t>(
-                globalObject_.at(global.get()))];
+                globalObject_[global->id()])];
             // Pointer slots are normalized to *name-rank* object ids:
             // two modules optimized differently (global DCE may have
             // removed unused internals) number their objects
@@ -135,7 +183,8 @@ class Machine {
             // across them. Non-global targets (allocas) normalize to a
             // sentinel; MiniC programs cannot observe local addresses
             // after main returns anyway.
-            std::vector<IValue> slots = object.slots;
+            const IValue *first = memory_.data() + object.first;
+            std::vector<IValue> slots(first, first + object.count);
             for (IValue &slot : slots) {
                 if (!slot.isPtr || slot.p.isNull())
                     continue;
@@ -152,19 +201,17 @@ class Machine {
     int32_t
     nameRankOf(int32_t object_id) const
     {
-        for (const auto &global : module_.globals()) {
-            if (globalObject_.at(global.get()) != object_id)
-                continue;
-            uint32_t hash = 2166136261u;
-            for (char c : global->name()) {
-                hash ^= static_cast<unsigned char>(c);
-                hash *= 16777619u;
-            }
-            // Keep it positive so it can never collide with the null
-            // (-1) or non-global (-2) sentinels.
-            return static_cast<int32_t>(hash & 0x7fffffffu);
+        if (static_cast<size_t>(object_id) >= module_.globals().size())
+            return -2; // an alloca or other non-global object
+        uint32_t hash = 2166136261u;
+        for (char c : module_.globals()[static_cast<size_t>(object_id)]
+                          ->name()) {
+            hash ^= static_cast<unsigned char>(c);
+            hash *= 16777619u;
         }
-        return -2; // an alloca or other non-global object
+        // Keep it positive so it can never collide with the null (-1)
+        // or non-global (-2) sentinels.
+        return static_cast<int32_t>(hash & 0x7fffffffu);
     }
 
     void
@@ -174,13 +221,54 @@ class Machine {
             throw ExecStop{ExecStatus::Timeout};
     }
 
-    /** Frame-local SSA environment. */
-    using Env = std::unordered_map<const Value *, IValue>;
+    FrameShape &
+    shapeOf(const Function &fn)
+    {
+        auto [it, inserted] = shapes_.try_emplace(&fn);
+        FrameShape &shape = it->second;
+        if (!inserted)
+            return shape;
+        unsigned low = ~0u, high = 0;
+        for (const auto &block : fn.blocks()) {
+            for (const auto &instr : block->instrs()) {
+                if (instr->type().isVoid())
+                    continue;
+                low = std::min(low, instr->id());
+                high = std::max(high, instr->id());
+            }
+        }
+        if (low <= high) {
+            shape.base = low;
+            shape.span = high - low + 1;
+        }
+        if (limits_.recordBlocks)
+            shape.entered.assign(fn.numBlocks(), 0);
+        return shape;
+    }
+
+    /** Make [0, top) of the frame stack addressable. */
+    void
+    growStack(size_t top)
+    {
+        top_ = top;
+        if (top > stack_.size())
+            stack_.resize(std::max(top, 2 * stack_.size()));
+    }
+
+    Frame
+    frameAt(size_t args_at, size_t slots_at, unsigned base)
+    {
+        return {stack_.data() + args_at, stack_.data() + slots_at, base};
+    }
 
     IValue
-    evalOperand(const Value *value, const Env &env) const
+    evalOperand(const Value *value, const Frame &frame) const
     {
         switch (value->valueKind()) {
+          case ValueKind::Instruction:
+            return frame[static_cast<const Instr *>(value)];
+          case ValueKind::Param:
+            return frame.args[static_cast<const Param *>(value)->index()];
           case ValueKind::Constant: {
             const auto *c = static_cast<const Constant *>(value);
             if (c->type().isPtr())
@@ -188,17 +276,9 @@ class Machine {
             return IValue::intValue(c->value());
           }
           case ValueKind::Global: {
-            const auto *global = static_cast<const GlobalVar *>(value);
             PtrVal ptr;
-            ptr.obj = globalObject_.at(global);
-            ptr.index = 0;
+            ptr.obj = globalObject_[value->id()];
             return IValue::ptrValue(ptr);
-          }
-          case ValueKind::Param:
-          case ValueKind::Instruction: {
-            auto it = env.find(value);
-            assert(it != env.end() && "use of undefined value");
-            return it->second;
           }
         }
         return IValue::intValue(0);
@@ -211,10 +291,11 @@ class Machine {
             return zeroOf(type);
         const MemObject &object = objects_[static_cast<size_t>(ptr.obj)];
         if (ptr.index < 0 ||
-            static_cast<uint64_t>(ptr.index) >= object.slots.size()) {
+            static_cast<uint64_t>(ptr.index) >= object.count) {
             return zeroOf(type); // OOB load: defined as zero
         }
-        IValue slot = object.slots[static_cast<size_t>(ptr.index)];
+        IValue slot =
+            memory_[object.first + static_cast<size_t>(ptr.index)];
         if (type.isPtr())
             return slot.isPtr ? slot : IValue::ptrValue(PtrVal{});
         int64_t raw = slot.isPtr ? 0 : slot.i;
@@ -226,9 +307,9 @@ class Machine {
     {
         if (ptr.isNull())
             return; // dropped, defined
-        MemObject &object = objects_[static_cast<size_t>(ptr.obj)];
+        const MemObject &object = objects_[static_cast<size_t>(ptr.obj)];
         if (ptr.index < 0 ||
-            static_cast<uint64_t>(ptr.index) >= object.slots.size()) {
+            static_cast<uint64_t>(ptr.index) >= object.count) {
             return; // OOB store: dropped
         }
         // Canonicalize integers to the slot's element type so memory
@@ -237,7 +318,7 @@ class Machine {
             value.i = wrapInt(value.i, object.elementType.bits,
                               object.elementType.isSigned);
         }
-        object.slots[static_cast<size_t>(ptr.index)] = value;
+        memory_[object.first + static_cast<size_t>(ptr.index)] = value;
     }
 
     static int64_t
@@ -308,140 +389,145 @@ class Machine {
         return false;
     }
 
+    /** Run @p fn on the arguments at stack_[args_at, +params). */
     IValue
-    callFunction(const Function &fn, const std::vector<IValue> &args)
+    callFunction(const Function &fn, size_t args_at)
     {
         if (++callDepth_ > limits_.maxCallDepth)
             throw ExecStop{ExecStatus::Trap};
 
-        Env env;
-        for (size_t i = 0; i < fn.params().size(); ++i)
-            env[fn.params()[i].get()] = args[i];
+        FrameShape &shape = shapeOf(fn);
+        const size_t slots_at = args_at + fn.params().size();
+        growStack(slots_at + shape.span);
+        Frame frame = frameAt(args_at, slots_at, shape.base);
+        uint8_t *entered =
+            limits_.recordBlocks ? shape.entered.data() : nullptr;
 
         const BasicBlock *block = fn.entry();
         const BasicBlock *previous = nullptr;
         IValue return_value = zeroOf(fn.returnType());
 
         for (;;) {
-            if (limits_.recordBlocks)
-                executedBlocks_.insert(block);
-            // Phi nodes evaluate simultaneously on block entry.
-            std::vector<std::pair<const Instr *, IValue>> phi_values;
-            for (const auto &instr : block->instrs()) {
-                if (instr->opcode() != Opcode::Phi)
-                    break;
-                Value *incoming = instr->incomingValueFor(previous);
+            if (entered)
+                entered[block->indexInFn()] = 1;
+            const std::vector<ir::InstrPtr> &instrs = block->instrs();
+            // Phi nodes evaluate simultaneously on block entry: read
+            // every incoming value before writing any.
+            size_t at = 0;
+            for (; at < instrs.size() &&
+                   instrs[at]->opcode() == Opcode::Phi;
+                 ++at) {
+                Value *incoming = instrs[at]->incomingValueFor(previous);
                 assert(incoming && "phi has no incoming for pred");
-                phi_values.emplace_back(instr.get(),
-                                        evalOperand(incoming, env));
+                if (at == phiValues_.size())
+                    phiValues_.emplace_back();
+                phiValues_[at] = evalOperand(incoming, frame);
             }
-            for (auto &[phi, value] : phi_values)
-                env[phi] = value;
+            for (size_t i = 0; i < at; ++i)
+                frame[instrs[i].get()] = phiValues_[i];
 
             const BasicBlock *next = nullptr;
-            for (const auto &owned : block->instrs()) {
-                const Instr *instr = owned.get();
-                if (instr->opcode() == Opcode::Phi)
-                    continue;
+            for (; !next && at < instrs.size(); ++at) {
+                const Instr *instr = instrs[at].get();
                 tick();
                 switch (instr->opcode()) {
                   case Opcode::Alloca: {
-                    MemObject object;
-                    object.elementType = instr->allocatedType;
-                    object.slots.assign(instr->allocatedCount,
-                                        zeroOf(instr->allocatedType));
                     PtrVal ptr;
-                    ptr.obj = static_cast<int32_t>(objects_.size());
-                    objects_.push_back(std::move(object));
-                    env[instr] = IValue::ptrValue(ptr);
+                    ptr.obj = allocate(instr->allocatedType,
+                                       instr->allocatedCount);
+                    frame[instr] = IValue::ptrValue(ptr);
                     break;
                   }
                   case Opcode::Load: {
-                    PtrVal ptr = evalOperand(instr->operand(0), env).p;
-                    env[instr] = loadFrom(ptr, instr->type());
+                    PtrVal ptr = evalOperand(instr->operand(0), frame).p;
+                    frame[instr] = loadFrom(ptr, instr->type());
                     break;
                   }
                   case Opcode::Store: {
-                    IValue value = evalOperand(instr->operand(0), env);
-                    PtrVal ptr = evalOperand(instr->operand(1), env).p;
+                    IValue value = evalOperand(instr->operand(0), frame);
+                    PtrVal ptr = evalOperand(instr->operand(1), frame).p;
                     storeTo(ptr, value);
                     break;
                   }
                   case Opcode::Bin: {
-                    int64_t a = evalOperand(instr->operand(0), env).i;
-                    int64_t b = evalOperand(instr->operand(1), env).i;
-                    env[instr] = IValue::intValue(
+                    int64_t a = evalOperand(instr->operand(0), frame).i;
+                    int64_t b = evalOperand(instr->operand(1), frame).i;
+                    frame[instr] = IValue::intValue(
                         evalBin(instr->binOp, a, b, instr->type()));
                     break;
                   }
                   case Opcode::Cmp: {
-                    IValue a = evalOperand(instr->operand(0), env);
-                    IValue b = evalOperand(instr->operand(1), env);
+                    IValue a = evalOperand(instr->operand(0), frame);
+                    IValue b = evalOperand(instr->operand(1), frame);
                     bool result;
                     if (a.isPtr || b.isPtr)
                         result = evalCmpPtr(instr->cmpPred, a.p, b.p);
                     else
                         result = evalCmpInt(instr->cmpPred, a.i, b.i);
-                    env[instr] = IValue::intValue(result ? 1 : 0);
+                    frame[instr] = IValue::intValue(result ? 1 : 0);
                     break;
                   }
                   case Opcode::Cast: {
                     int64_t value =
-                        evalOperand(instr->operand(0), env).i;
+                        evalOperand(instr->operand(0), frame).i;
                     IrType to = instr->type();
-                    env[instr] = IValue::intValue(
+                    frame[instr] = IValue::intValue(
                         wrapInt(value, to.bits, to.isSigned));
                     break;
                   }
                   case Opcode::Gep: {
-                    IValue base = evalOperand(instr->operand(0), env);
+                    IValue base = evalOperand(instr->operand(0), frame);
                     int64_t index =
-                        evalOperand(instr->operand(1), env).i;
+                        evalOperand(instr->operand(1), frame).i;
                     PtrVal ptr = base.p;
                     if (!ptr.isNull())
                         ptr.index += index;
-                    env[instr] = IValue::ptrValue(ptr);
+                    frame[instr] = IValue::ptrValue(ptr);
                     break;
                   }
                   case Opcode::Freeze:
-                    env[instr] = evalOperand(instr->operand(0), env);
+                    frame[instr] = evalOperand(instr->operand(0), frame);
                     break;
                   case Opcode::Select: {
                     int64_t cond =
-                        evalOperand(instr->operand(0), env).i;
-                    env[instr] = evalOperand(
-                        instr->operand(cond != 0 ? 1 : 2), env);
+                        evalOperand(instr->operand(0), frame).i;
+                    frame[instr] = evalOperand(
+                        instr->operand(cond != 0 ? 1 : 2), frame);
                     break;
                   }
                   case Opcode::Call: {
                     const Function *callee = instr->callee;
                     if (callee->isDeclaration()) {
-                        callTrace_.push_back(callee->name());
+                        callTrace_.push_back(callee);
                         if (!instr->type().isVoid())
-                            env[instr] = zeroOf(instr->type());
+                            frame[instr] = zeroOf(instr->type());
                         break;
                     }
-                    std::vector<IValue> call_args;
-                    call_args.reserve(instr->numOperands());
+                    // The callee's arguments go right above this frame.
+                    const size_t call_args_at = top_;
+                    growStack(call_args_at + instr->numOperands());
+                    frame = frameAt(args_at, slots_at, shape.base);
                     for (size_t i = 0; i < instr->numOperands(); ++i)
-                        call_args.push_back(
-                            evalOperand(instr->operand(i), env));
-                    IValue result = callFunction(*callee, call_args);
+                        stack_[call_args_at + i] =
+                            evalOperand(instr->operand(i), frame);
+                    IValue result = callFunction(*callee, call_args_at);
+                    frame = frameAt(args_at, slots_at, shape.base);
                     if (!instr->type().isVoid())
-                        env[instr] = result;
+                        frame[instr] = result;
                     break;
                   }
                   case Opcode::Ret:
                     if (instr->numOperands() == 1)
                         return_value =
-                            evalOperand(instr->operand(0), env);
+                            evalOperand(instr->operand(0), frame);
                     --callDepth_;
+                    top_ = args_at;
                     return return_value;
                   case Opcode::Br:
                     next = instr->blockOperands()[0];
                     break;
                   case Opcode::CondBr: {
-                    IValue cond = evalOperand(instr->operand(0), env);
+                    IValue cond = evalOperand(instr->operand(0), frame);
                     bool taken = cond.isPtr ? !cond.p.isNull()
                                             : cond.i != 0;
                     next = instr->blockOperands()[taken ? 0 : 1];
@@ -449,7 +535,7 @@ class Machine {
                   }
                   case Opcode::Switch: {
                     int64_t value =
-                        evalOperand(instr->operand(0), env).i;
+                        evalOperand(instr->operand(0), frame).i;
                     next = instr->blockOperands()[0]; // default
                     for (size_t i = 0; i < instr->caseValues.size();
                          ++i) {
@@ -465,10 +551,8 @@ class Machine {
                     // programs never execute one.
                     throw ExecStop{ExecStatus::Trap};
                   case Opcode::Phi:
-                    break; // handled above
+                    break; // handled on block entry
                 }
-                if (next)
-                    break;
             }
             assert(next && "block fell through without terminator");
             previous = block;
@@ -479,9 +563,19 @@ class Machine {
     const Module &module_;
     ExecLimits limits_;
     std::vector<MemObject> objects_;
-    std::unordered_map<const GlobalVar *, int32_t> globalObject_;
-    std::vector<std::string> callTrace_;
-    std::unordered_set<const BasicBlock *> executedBlocks_;
+    /** Every object's slots, back to back. */
+    std::vector<IValue> memory_;
+    /** Object of each global, by GlobalVar::id(). */
+    std::vector<int32_t> globalObject_;
+    /** Called declarations, in order; named once at the end. */
+    std::vector<const Function *> callTrace_;
+    /** Node-based, so a FrameShape stays put while callees are added. */
+    std::unordered_map<const Function *, FrameShape> shapes_;
+    /** Every live activation's arguments and slots, innermost last. */
+    std::vector<IValue> stack_;
+    size_t top_ = 0;
+    /** Scratch for one block's simultaneous phi reads. */
+    std::vector<IValue> phiValues_;
     uint64_t steps_ = 0;
     unsigned callDepth_ = 0;
 };

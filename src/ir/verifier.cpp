@@ -294,6 +294,40 @@ class FunctionVerifier {
     VerifyResult &result_;
 };
 
+/** The interpreter's dense frames and global table index by value id
+ * (DESIGN.md §19): every global and every non-void instruction needs a
+ * non-zero id that no other of them in the module shares. Void
+ * instructions keep id 0. */
+void
+checkValueIds(const Module &module, VerifyResult &result)
+{
+    std::vector<uint8_t> seen(module.valueIdBound(), 0);
+    auto claim = [&](const Value &value, const std::string &where) {
+        unsigned id = value.id();
+        if (id == 0) {
+            result.errors.push_back(where + ": value without an id");
+            return;
+        }
+        if (id >= seen.size())
+            seen.resize(id + 1, 0);
+        if (seen[id]) {
+            result.errors.push_back(where + ": duplicate value id " +
+                                    std::to_string(id));
+        }
+        seen[id] = 1;
+    };
+    for (const auto &global : module.globals())
+        claim(*global, "@" + global->name());
+    for (const auto &fn : module.functions()) {
+        for (const auto &block : fn->blocks()) {
+            for (const auto &instr : block->instrs()) {
+                if (!instr->type().isVoid())
+                    claim(*instr, "@" + fn->name() + ": " + block->name());
+            }
+        }
+    }
+}
+
 } // namespace
 
 VerifyResult
@@ -311,6 +345,7 @@ verifyModule(const Module &module)
     for (const auto &fn : module.functions()) {
         FunctionVerifier(*fn, result).run();
     }
+    checkValueIds(module, result);
     return result;
 }
 

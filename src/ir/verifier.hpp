@@ -3,7 +3,8 @@
  * Structural and SSA well-formedness checking. Run after lowering and
  * after every optimization pass in checked builds/tests, keeping 20+
  * passes honest: type agreement, terminator discipline, phi/predecessor
- * consistency, use-list integrity, and defs dominating uses.
+ * consistency, use-list integrity, defs dominating uses, and (module
+ * level) unique value ids.
  */
 #pragma once
 

@@ -162,11 +162,28 @@ httpStatusReason(int status)
 HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
     : handler_(std::move(handler)), options_(options)
 {
-    support::MetricsRegistry &registry =
-        options_.metrics ? *options_.metrics
-                         : support::MetricsRegistry::global();
-    requests_ = &registry.counter("serve.requests");
-    requestUs_ = &registry.histogram("serve.request_us");
+    registry_ = options_.metrics ? options_.metrics
+                                 : &support::MetricsRegistry::global();
+    requests_ = &registry_->counter("serve.requests");
+    requestUs_ = &registry_->histogram("serve.request_us");
+}
+
+support::Counter &
+HttpServer::responsesFor(int status)
+{
+    // Statuses 100..599 get a cached slot; anything else is looked up
+    // each time. Racing first uses resolve the same counter.
+    size_t slot = static_cast<size_t>(status - 100);
+    if (status < 100 || slot >= responses_.size())
+        return registry_->counter("serve.responses", std::to_string(status));
+    support::Counter *counter =
+        responses_[slot].load(std::memory_order_acquire);
+    if (!counter) {
+        counter = &registry_->counter("serve.responses",
+                                      std::to_string(status));
+        responses_[slot].store(counter, std::memory_order_release);
+    }
+    return *counter;
 }
 
 HttpServer::~HttpServer()
@@ -367,12 +384,7 @@ HttpServer::handleConnection(int fd)
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - started)
             .count()));
-    support::MetricsRegistry &registry =
-        options_.metrics ? *options_.metrics
-                         : support::MetricsRegistry::global();
-    registry
-        .counter("serve.responses", std::to_string(response.status))
-        .add();
+    responsesFor(response.status).add();
 
     sendAll(fd, wire);
     ::close(fd);

@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -136,9 +137,14 @@ class HttpServer {
   private:
     void acceptLoop();
     void handleConnection(int fd);
+    /** serve.responses{status}: resolved in the registry on a status's
+     * first response, then read without the registry lock. */
+    support::Counter &responsesFor(int status);
 
     HttpHandler handler_;
     HttpServerOptions options_;
+    support::MetricsRegistry *registry_ = nullptr;
+    std::array<std::atomic<support::Counter *>, 500> responses_{};
     support::Counter *requests_ = nullptr;
     /** serve.request_us: accept-to-response-sent wall µs, feeding the
      * /progress serve latency percentiles. */

@@ -17,6 +17,7 @@
 #include "ir/verifier.hpp"
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 namespace dce::core {
 namespace {
@@ -208,6 +209,37 @@ TEST(Engine, ObserverSeesMonotoneProgressAndFinalTotals)
     for (const ProgramRecord &record : campaign.programs)
         invalid_records += record.valid ? 0 : 1;
     EXPECT_EQ(final_progress.invalidPrograms, invalid_records);
+}
+
+TEST(Engine, EachSeedExecutesItsO0ModuleOnce)
+{
+    // Ground truth records the executed blocks, and the primary
+    // analysis reuses them instead of running the module again.
+    constexpr unsigned kSeeds = 24;
+    std::vector<BuildSpec> builds = twoBuilds();
+    support::MetricsRegistry registry;
+    CampaignOptions options;
+    options.computePrimary = true;
+    options.threads = 1;
+    options.metrics = &registry;
+    support::Tracer &tracer = support::Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    Campaign campaign = runCampaign(0, kSeeds, builds, options);
+    tracer.setEnabled(false);
+    std::vector<support::Tracer::Event> events = tracer.events();
+    tracer.clear();
+
+    size_t executions = 0;
+    for (const support::Tracer::Event &event : events)
+        executions += event.name == "execute" && event.category == "interp";
+    EXPECT_EQ(executions, kSeeds);
+    size_t with_primary = 0;
+    for (const ProgramRecord &record : campaign.programs) {
+        for (size_t b = 0; b < builds.size(); ++b)
+            with_primary += !record.primaryFor(BuildId{b}).empty();
+    }
+    EXPECT_GT(with_primary, 0u) << "no seed exercised the primary analysis";
 }
 
 TEST(Engine, MetricsAccountForTheLoweringCache)

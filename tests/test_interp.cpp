@@ -2,9 +2,17 @@
  * traces, limits, and the paper's example programs. */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "helpers.hpp"
 
+#include "compiler/compiler.hpp"
+#include "gen/generator.hpp"
+#include "instrument/instrument.hpp"
+#include "ir/builder.hpp"
 #include "ir/lowering.hpp"
+#include "ir/verifier.hpp"
 #include "lang/parser.hpp"
 
 namespace dce::interp {
@@ -395,6 +403,247 @@ TEST(Interp, ObservablyEqualComparesTraces)
     EXPECT_TRUE(observablyEqual(a, b));
     EXPECT_FALSE(observablyEqual(a, c));
     EXPECT_FALSE(explainDifference(a, c).empty());
+}
+
+//===------------------------------------------------------------------===//
+// Frames: recursion, parallel phi copies, and a moving frame stack
+//===------------------------------------------------------------------===//
+
+/** Run @p source at O0 and after alpha-O3 and beta-O3; every run must
+ * exit cleanly with @p expected. */
+void
+expectExitAtEveryBuild(const std::string &source, int64_t expected)
+{
+    DiagnosticEngine diags;
+    auto unit = lang::parseAndCheck(source, diags);
+    ASSERT_TRUE(unit != nullptr) << diags.str();
+    auto lowered = ir::lowerToIr(*unit);
+    ExecResult base = execute(*lowered);
+    ASSERT_EQ(base.status, ExecStatus::Ok);
+    EXPECT_EQ(base.exitValue, expected);
+    for (compiler::CompilerId id :
+         {compiler::CompilerId::Alpha, compiler::CompilerId::Beta}) {
+        compiler::Compiler comp(id, compiler::OptLevel::O3);
+        compiler::Compilation result = comp.compileLowered(*lowered);
+        ExecResult optimized = execute(result.module());
+        ASSERT_EQ(optimized.status, ExecStatus::Ok) << comp.describe();
+        EXPECT_EQ(optimized.exitValue, expected) << comp.describe();
+    }
+}
+
+TEST(InterpFrames, RecursionKeepsEachDepthsValues)
+{
+    // `n * 3` is an SSA temporary evaluated before the recursive call
+    // and read after it returns: every depth must see its own copy.
+    expectExitAtEveryBuild(R"(
+        int f(int n) {
+            if (n <= 0) return 1;
+            return n * 3 + f(n - 1) * 2 - n;
+        }
+        int main() { return f(6); }
+    )",
+                           [] {
+                               int64_t v = 1;
+                               for (int n = 1; n <= 6; ++n)
+                                   v = n * 3 + v * 2 - n;
+                               return v;
+                           }());
+}
+
+TEST(InterpFrames, MutualRecursionReentersAtSeveralDepths)
+{
+    expectExitAtEveryBuild(R"(
+        int odd(int n);
+        int even(int n) { if (n == 0) return 1; return odd(n - 1); }
+        int odd(int n) { if (n == 0) return 0; return even(n - 1) + 0; }
+        int main() { return even(10) * 10 + odd(7); }
+    )",
+                           11);
+}
+
+TEST(InterpFrames, CallerValuesSurviveTheStackGrowing)
+{
+    // Each level holds many live temporaries across a deep call, so
+    // the callee's frame push outgrows (and moves) the frame stack
+    // while the caller still has values to read.
+    expectExitAtEveryBuild(R"(
+        int deep(int n, int k) {
+            int a = n + k;
+            int b = a * 2;
+            int c = b - n;
+            int d = c ^ a;
+            if (n == 0) return d;
+            return a + b + c + d + deep(n - 1, k + 1) - a - b - c;
+        }
+        int main() { return deep(100, 1); }
+    )",
+                           [] {
+                               // deep(n, k) = d(n, k) + deep(n-1, k+1)
+                               int64_t total = 0;
+                               for (int n = 100, k = 1; n >= 0; --n, ++k) {
+                                   int64_t a = n + k, b = a * 2,
+                                           c = b - n, d = c ^ a;
+                                   total += d;
+                               }
+                               return total;
+                           }());
+}
+
+TEST(InterpFrames, PhisOnABackEdgeCopyInParallel)
+{
+    // loop: a = phi [1, entry], [b, loop]
+    //       b = phi [2, entry], [a, loop]   -- a swap cycle
+    //       i = phi [0, entry], [i1, loop]
+    // Sequential copies would turn (a, b) into (2, 2) on the first
+    // back edge; parallel ones swap them.
+    ir::Module module;
+    ir::Function *fn = module.addFunction("main", ir::IrType::i32(), false);
+    ir::BasicBlock *entry = fn->addBlock("entry");
+    ir::BasicBlock *loop = fn->addBlock("loop");
+    ir::BasicBlock *exit = fn->addBlock("exit");
+    ir::IrBuilder builder(module);
+    builder.setInsertionBlock(entry);
+    builder.br(loop);
+    builder.setInsertionBlock(loop);
+    ir::Instr *a = builder.phi(ir::IrType::i32());
+    ir::Instr *b = builder.phi(ir::IrType::i32());
+    ir::Instr *i = builder.phi(ir::IrType::i32());
+    ir::Instr *next = builder.bin(ir::BinOp::Add, i, module.i32Const(1));
+    ir::Instr *more =
+        builder.cmp(ir::CmpPred::Slt, next, module.i32Const(4));
+    builder.condBr(more, loop, exit);
+    a->addIncoming(module.i32Const(1), entry);
+    a->addIncoming(b, loop);
+    b->addIncoming(module.i32Const(2), entry);
+    b->addIncoming(a, loop);
+    i->addIncoming(module.i32Const(0), entry);
+    i->addIncoming(next, loop);
+    builder.setInsertionBlock(exit);
+    ir::Instr *tens = builder.bin(ir::BinOp::Mul, a, module.i32Const(10));
+    builder.ret(builder.bin(ir::BinOp::Add, tens, b));
+    ASSERT_TRUE(ir::verifyModule(module).ok())
+        << ir::verifyModule(module).str();
+
+    ExecResult result = execute(module);
+    ASSERT_EQ(result.status, ExecStatus::Ok);
+    // Four passes through the loop swap (1, 2) three times.
+    EXPECT_EQ(result.exitValue, 21);
+}
+
+//===------------------------------------------------------------------===//
+// Golden results: generated programs at O0 and O3 under three limits
+//===------------------------------------------------------------------===//
+
+/** FNV-1a over everything observable about one execution plus its
+ * executed-block count. */
+uint64_t
+digestOf(const ExecResult &result)
+{
+    uint64_t hash = 14695981039346656037ull;
+    auto byte = [&](unsigned char c) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    };
+    auto word = [&](uint64_t value) {
+        for (int shift = 0; shift < 64; shift += 8)
+            byte(static_cast<unsigned char>(value >> shift));
+    };
+    auto text = [&](const std::string &value) {
+        word(value.size());
+        for (char c : value)
+            byte(static_cast<unsigned char>(c));
+    };
+    word(static_cast<uint64_t>(result.status));
+    word(static_cast<uint64_t>(result.exitValue));
+    word(result.steps);
+    word(result.callTrace.size());
+    for (const std::string &name : result.callTrace)
+        text(name);
+    word(result.calledExternals.size());
+    for (const std::string &name : result.calledExternals)
+        text(name);
+    word(result.finalGlobals.size());
+    for (const auto &[name, slots] : result.finalGlobals) {
+        text(name);
+        word(slots.size());
+        for (const IValue &slot : slots) {
+            word(slot.isPtr);
+            word(static_cast<uint64_t>(slot.i));
+            word(static_cast<uint64_t>(slot.p.obj));
+            word(static_cast<uint64_t>(slot.p.index));
+        }
+    }
+    word(result.executedBlocks.size());
+    return hash;
+}
+
+constexpr uint64_t kGoldenFirstSeed = 6'000'000;
+constexpr size_t kGoldenSeeds = 200;
+
+/** The expected digests, recorded with the hash-map interpreter this
+ * one replaced: per seed, per module (O0, alpha-O3, beta-O3), per
+ * limit set (default, tiny, recordBlocks). */
+constexpr uint64_t kGoldenDigests[] = {
+#include "interp_golden.inc"
+};
+
+TEST(InterpGolden, GeneratedProgramsMatchRecordedResults)
+{
+    ExecLimits tiny;
+    tiny.maxSteps = 500;
+    tiny.maxCallDepth = 3;
+    ExecLimits blocks;
+    blocks.recordBlocks = true;
+    const ExecLimits limit_sets[] = {ExecLimits{}, tiny, blocks};
+    const char *limit_names[] = {"default", "tiny", "recordBlocks"};
+    const char *module_names[] = {"O0", "alpha-O3", "beta-O3"};
+
+    // Regeneration: DCE_INTERP_GOLDEN_OUT=<file> writes the table
+    // instead of checking it. Only ever regenerate from a trusted
+    // interpreter; the table is what the interpreter is checked by.
+    const char *out_path = std::getenv("DCE_INTERP_GOLDEN_OUT");
+    std::FILE *out = out_path ? std::fopen(out_path, "w") : nullptr;
+    if (!out) {
+        ASSERT_EQ(std::size(kGoldenDigests), kGoldenSeeds * 9);
+    }
+
+    size_t index = 0;
+    for (uint64_t seed = kGoldenFirstSeed;
+         seed < kGoldenFirstSeed + kGoldenSeeds; ++seed) {
+        auto unit = gen::generateProgram(seed);
+        instrument::Instrumented prog = instrument::instrumentUnit(*unit);
+        auto lowered = ir::lowerToIr(*prog.unit);
+        compiler::Compilation alpha =
+            compiler::Compiler(compiler::CompilerId::Alpha,
+                               compiler::OptLevel::O3)
+                .compileLowered(*lowered);
+        compiler::Compilation beta =
+            compiler::Compiler(compiler::CompilerId::Beta,
+                               compiler::OptLevel::O3)
+                .compileLowered(*lowered);
+        const ir::Module *modules[] = {lowered.get(), &alpha.module(),
+                                       &beta.module()};
+        for (size_t m = 0; m < 3; ++m) {
+            for (size_t l = 0; l < 3; ++l, ++index) {
+                ExecResult result =
+                    execute(*modules[m], "main", limit_sets[l]);
+                uint64_t digest = digestOf(result);
+                if (out) {
+                    std::fprintf(out, "0x%016llxull,%s",
+                                 static_cast<unsigned long long>(digest),
+                                 l == 2 ? "\n" : " ");
+                    continue;
+                }
+                EXPECT_EQ(digest, kGoldenDigests[index])
+                    << "seed " << seed << " " << module_names[m] << " "
+                    << limit_names[l] << ": status "
+                    << static_cast<int>(result.status) << ", exit "
+                    << result.exitValue << ", steps " << result.steps;
+            }
+        }
+    }
+    if (out)
+        std::fclose(out);
 }
 
 } // namespace

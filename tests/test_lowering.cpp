@@ -5,6 +5,7 @@
 #include "helpers.hpp"
 #include "ir/cfg.hpp"
 #include "ir/printer.hpp"
+#include "ir/verifier.hpp"
 
 namespace dce::ir {
 namespace {
@@ -221,6 +222,44 @@ TEST(Lowering, ParamsGetStackSlots)
             ++allocas;
     }
     EXPECT_EQ(allocas, 2u);
+}
+
+TEST(Verifier, RejectsDuplicateAndMissingValueIds)
+{
+    auto module = lowerOk(R"(
+        int g;
+        int main() { int x = g; int y = x + 1; return x * y; }
+    )");
+    ASSERT_TRUE(module);
+    ASSERT_TRUE(verifyModule(*module).ok());
+    std::vector<Instr *> valued;
+    for (const auto &instr : module->getFunction("main")->entry()->instrs()) {
+        if (!instr->type().isVoid())
+            valued.push_back(instr.get());
+    }
+    ASSERT_GE(valued.size(), 2u);
+
+    // A second non-void instruction claiming the first one's id.
+    unsigned original = valued[1]->id();
+    valued[1]->setId(valued[0]->id());
+    VerifyResult duplicate = verifyModule(*module);
+    ASSERT_FALSE(duplicate.ok());
+    EXPECT_NE(duplicate.str().find("duplicate value id"), std::string::npos)
+        << duplicate.str();
+
+    // A global colliding with an instruction is rejected too.
+    valued[1]->setId(original);
+    unsigned global_id = module->getGlobal("g")->id();
+    module->getGlobal("g")->setId(valued[0]->id());
+    EXPECT_FALSE(verifyModule(*module).ok());
+    module->getGlobal("g")->setId(global_id);
+
+    // A non-void instruction without an id.
+    valued[0]->setId(0);
+    VerifyResult missing = verifyModule(*module);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_NE(missing.str().find("value without an id"), std::string::npos)
+        << missing.str();
 }
 
 } // namespace

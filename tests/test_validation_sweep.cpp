@@ -36,9 +36,15 @@ TEST_P(GeneratedValidation, AllBuildsPreserveBehaviour)
     uint64_t seed = GetParam();
     instrument::Instrumented prog = makeInstrumented(seed);
     auto baseline_module = ir::lowerToIr(*prog.unit);
-    interp::ExecResult expected = interp::execute(*baseline_module);
-    if (expected.status != interp::ExecStatus::Ok)
-        GTEST_SKIP() << "seed " << seed << " not executable";
+    // Generated programs terminate without trapping, but some run past
+    // the production step budget (seed 7077 takes 4,305,805 steps at
+    // O0), so this sweep gives every run a larger one.
+    interp::ExecLimits limits;
+    limits.maxSteps = 8'000'000;
+    interp::ExecResult expected =
+        interp::execute(*baseline_module, "main", limits);
+    ASSERT_EQ(expected.status, interp::ExecStatus::Ok)
+        << "seed " << seed << " did not run to completion";
 
     std::set<std::string> executed_markers;
     for (const std::string &name : expected.calledExternals) {
@@ -56,7 +62,7 @@ TEST_P(GeneratedValidation, AllBuildsPreserveBehaviour)
                 << " verifier failure:\n"
                 << result.error();
             interp::ExecResult actual =
-                interp::execute(result.module());
+                interp::execute(result.module(), "main", limits);
             ASSERT_TRUE(interp::observablyEqual(expected, actual))
                 << comp.describe() << " miscompiled seed " << seed
                 << ":\n"
