@@ -2,14 +2,14 @@
  * @file
  * Observability-layer benchmarks (google-benchmark): what the §17
  * liveness surface costs. BM_TimeSeriesAppend / BM_TimeSeriesRead
- * price the seqlock ring's two sides; BM_SampleOnce is one full
- * sampler derivation (registry walk + four stage percentiles);
+ * price the seqlock ring's two sides; BM_SampleOnce is one liveness
+ * tick (registry walk + five percentiles, ring publish, health);
  * BM_PercentileEstimate isolates the bucket-interpolation math;
  * BM_TraceMerge prices folding a fleet's per-process trace files;
  * BM_CampaignObserved mirrors bench_throughput's BM_Campaign with the
- * full liveness stack live — tracer on, 50ms sampler, throughput
- * monitor — so diffing the two measures the observed-campaign
- * overhead directly (budget: within noise).
+ * full liveness pipeline live — tracer on, a 50ms sampler with health
+ * — so diffing the two measures the observed-campaign overhead
+ * directly (budget: within noise).
  */
 #include <benchmark/benchmark.h>
 
@@ -21,8 +21,7 @@
 #include "core/campaign.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/trace_merge.hpp"
-#include "report/anomaly.hpp"
-#include "support/timeseries.hpp"
+#include "report/liveness.hpp"
 #include "support/trace.hpp"
 
 using namespace dce;
@@ -117,16 +116,14 @@ BENCHMARK(BM_PercentileEstimate)->Unit(benchmark::kNanosecond);
 static void
 BM_SampleOnce(benchmark::State &state)
 {
-    // One sampler tick against a realistic registry: snapshot walk,
-    // cache-rate division, five p99 interpolations, ring publish.
+    // One liveness tick against a realistic registry: snapshot walk,
+    // cache-rate division, five p99 interpolations, ring publish and
+    // the health checks.
     support::MetricsRegistry registry;
     fillRegistry(registry);
-    support::TimeSeries series(512);
-    support::TimeSeriesSamplerOptions options;
-    options.registry = &registry;
-    support::TimeSeriesSampler sampler(series, options);
+    report::Liveness liveness({.registry = &registry});
     for (auto _ : state)
-        benchmark::DoNotOptimize(sampler.sampleOnce());
+        benchmark::DoNotOptimize(liveness.sampleOnce());
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SampleOnce)->Unit(benchmark::kMicrosecond);
@@ -172,11 +169,10 @@ BENCHMARK(BM_TraceMerge)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
 static void
 BM_CampaignObserved(benchmark::State &state)
 {
-    // BM_Campaign (bench_throughput) with the full liveness stack on:
-    // global tracer enabled, a 50ms sampler publishing to the ring,
-    // and a throughput monitor fed every sample. Diff against
-    // BM_Campaign at the same thread count for the observability
-    // overhead.
+    // BM_Campaign (bench_throughput) with the full liveness pipeline
+    // on: global tracer enabled and a 50ms sampler publishing to the
+    // ring and checking health. Diff against BM_Campaign at the same
+    // thread count for the observability overhead.
     constexpr unsigned kSeeds = 48;
     core::CampaignOptions options;
     options.threads = static_cast<unsigned>(state.range(0));
@@ -185,25 +181,13 @@ BM_CampaignObserved(benchmark::State &state)
     support::Tracer &tracer = support::Tracer::global();
     tracer.setEnabled(true);
 
-    report::ThroughputMonitorOptions monitor_options;
-    monitor_options.registry = &support::MetricsRegistry::global();
-    report::ThroughputMonitor monitor(monitor_options);
-
-    support::TimeSeries series(512);
-    support::TimeSeriesSamplerOptions sampler_options;
-    sampler_options.intervalMs = 50;
-    sampler_options.registry = &support::MetricsRegistry::global();
-    sampler_options.onSample =
-        [&monitor](const support::TimeSample &sample) {
-            monitor.observe(sample.seeds);
-        };
-    support::TimeSeriesSampler sampler(series, sampler_options);
-    sampler.start();
+    report::Liveness liveness({.intervalMs = 50});
+    liveness.start();
 
     for (auto _ : state)
         benchmark::DoNotOptimize(runner.run(5000, kSeeds));
 
-    sampler.stop();
+    liveness.stop();
     tracer.setEnabled(false);
     state.counters["spans"] = double(tracer.events().size());
     tracer.clear();

@@ -18,7 +18,7 @@
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
 #include "report/event_log.hpp"
-#include "report/snapshot.hpp"
+#include "report/liveness.hpp"
 #include "support/metrics.hpp"
 
 using namespace dce;
@@ -101,10 +101,11 @@ BENCHMARK(BM_PrometheusExpose);
 static void
 BM_SnapshotRender(benchmark::State &state)
 {
-    report::SnapshotWriter writer(
-        {.path = "", .registry = &populatedRegistry()});
+    support::MetricsRegistry &registry = populatedRegistry();
+    uint64_t seq = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(writer.renderSnapshot());
+        benchmark::DoNotOptimize(
+            report::snapshotJsonLine(registry, seq++, 0));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SnapshotRender);

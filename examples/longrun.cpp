@@ -2,9 +2,10 @@
  * @file
  * Long-running campaign workflow: a checkpointed campaign over a
  * persistent corpus store that survives being killed at any point,
- * with the full telemetry stack attached — structured event log,
- * periodic metrics snapshots, stall watchdog, and a campaign report
- * rendered from the store afterwards.
+ * with the full telemetry stack attached — structured event log, one
+ * report::Liveness sampler (the /timeseries ring, the --metrics JSONL
+ * and the stalled/degraded health behind /readyz, DESIGN.md §12), and
+ * a campaign report rendered from the store afterwards.
  *
  *   longrun full <store-dir>            uninterrupted run + summary
  *   longrun run <store-dir> [chunks]    run, optionally stopping after
@@ -26,17 +27,17 @@
  *
  * Optional flags (any mode):
  *   --events <file>    write the deterministic event log (JSONL)
- *   --metrics <file>   append periodic metrics snapshots (JSONL)
+ *   --metrics <file>   append a metrics snapshot (JSONL) per sample
  *   --report <dir>     render report.md/report.html + dossiers
  *   --trace <file>     record Chrome-trace spans; single-process runs
  *                      write <file> directly, a --fleet run traces
  *                      every process and copies the merged timeline to
  *                      <file>
- *   --sample <ms>      time-series sampling cadence (default 500 when
- *                      serving, else off); feeds /timeseries, the
- *                      /dashboard sparklines, and the throughput
- *                      monitor behind /readyz — and, under --fleet,
- *                      each worker's metrics.jsonl snapshot cadence
+ *   --sample <ms>      the liveness sampler's one cadence (default
+ *                      500); feeds /timeseries, the /dashboard
+ *                      sparklines, --metrics, and the stall/throughput
+ *                      health behind /readyz — and, under --fleet,
+ *                      each worker's metrics.jsonl cadence
  *   --latency-report   add the wall-clock "Pipeline latency" section
  *                      (stage p50/p90/p99) to the --report output;
  *                      off by default because that section is NOT
@@ -59,7 +60,6 @@
  * `--report` output of both stores (the report derives from the store
  * alone, so kill/resume must not change a byte of it).
  */
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -68,16 +68,13 @@
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
 #include "equiv/engine.hpp"
-#include "report/anomaly.hpp"
-#include "report/event_log.hpp"
-#include "report/report.hpp"
-#include "report/snapshot.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/trace_merge.hpp"
 #include "fleet/worker.hpp"
-#include "report/watchdog.hpp"
+#include "report/event_log.hpp"
+#include "report/liveness.hpp"
+#include "report/report.hpp"
 #include "serve/ops_server.hpp"
-#include "support/timeseries.hpp"
 #include "support/trace.hpp"
 
 using namespace dce;
@@ -132,57 +129,13 @@ struct Flags {
     std::string metricsPath;
     std::string reportDir;
     std::string tracePath;
-    uint64_t sampleMs = 0;
+    uint64_t sampleMs = 500;
     bool latencyReport = false;
     bool serve = false;
     uint16_t servePort = 0;
     bool serveWait = false;
     unsigned fleetWorkers = 0;
     unsigned equivVariants = 0;
-};
-
-/** The liveness stack behind /timeseries, /dashboard, and /readyz's
- * throughput gate: one ring, one sampler thread, one EWMA monitor.
- * quiesce() detaches the monitor *before* the sampler's final stop()
- * sample, so a finished campaign's zero rate never reads as a
- * degradation while --serve-wait holds the endpoints open. */
-struct LivenessStack {
-    support::TimeSeries series;
-    std::unique_ptr<report::ThroughputMonitor> monitor;
-    std::unique_ptr<support::TimeSeriesSampler> sampler;
-    std::atomic<bool> monitorLive{true};
-
-    void
-    start(uint64_t interval_ms, support::MetricsRegistry &registry,
-          support::EventSink *events,
-          std::function<void(support::MetricsRegistry &)> augment)
-    {
-        report::ThroughputMonitorOptions monitor_options;
-        monitor_options.events = events;
-        monitor_options.registry = &registry;
-        monitor = std::make_unique<report::ThroughputMonitor>(
-            monitor_options);
-        support::TimeSeriesSamplerOptions sampler_options;
-        sampler_options.intervalMs = interval_ms;
-        sampler_options.registry = &registry;
-        sampler_options.augment = std::move(augment);
-        sampler_options.onSample =
-            [this](const support::TimeSample &sample) {
-                if (monitorLive.load(std::memory_order_relaxed))
-                    monitor->observe(sample.seeds);
-            };
-        sampler = std::make_unique<support::TimeSeriesSampler>(
-            series, sampler_options);
-        sampler->start();
-    }
-
-    void
-    quiesce()
-    {
-        monitorLive.store(false, std::memory_order_relaxed);
-        if (sampler)
-            sampler->stop();
-    }
 };
 
 /** Coordinator mode: shard demoPlan() across worker processes (each
@@ -206,29 +159,27 @@ runFleetMode(const char *self, const std::string &fleet_dir,
     fleet::FleetCoordinator coordinator(fleet_dir, demoPlan(),
                                         fleet_options);
 
-    LivenessStack liveness;
-    if (flags.sampleMs) {
-        // The coordinator's own registry has only fleet.* counters;
-        // each sample folds in the workers' latest dumps plus the
-        // lease-committed findings total, so the series is fleet-wide.
-        liveness.start(
-            flags.sampleMs, registry, nullptr,
-            [&coordinator](support::MetricsRegistry &scratch) {
-                coordinator.mergeWorkerMetrics(scratch);
-                scratch.counter("campaign.progress", "findings")
-                    .add(coordinator.progress().findings);
-            });
-    }
+    // The coordinator's own registry has only fleet.* counters; each
+    // sample folds in the workers' latest dumps plus the
+    // lease-committed findings total, so the series — and the stall and
+    // throughput health behind /readyz — is fleet-wide.
+    report::Liveness liveness(
+        {.intervalMs = flags.sampleMs,
+         .registry = &registry,
+         .augment =
+             [&coordinator](support::MetricsRegistry &scratch) {
+                 coordinator.mergeWorkerMetrics(scratch);
+                 scratch.counter("campaign.progress", "findings")
+                     .add(coordinator.progress().findings);
+             }});
+    liveness.start();
 
     serve::OpsServerOptions serve_options;
     serve_options.port = flags.servePort;
     serve_options.metrics = &registry;
     serve_options.fleet = &coordinator;
     serve_options.allowRemoteShutdown = flags.serveWait;
-    if (flags.sampleMs) {
-        serve_options.timeseries = &liveness.series;
-        serve_options.throughput = liveness.monitor.get();
-    }
+    serve_options.liveness = &liveness;
     serve::OpsServer ops(serve_options);
     if (flags.serve) {
         std::string serve_error;
@@ -243,7 +194,7 @@ runFleetMode(const char *self, const std::string &fleet_dir,
 
     std::optional<fleet::FleetResult> result =
         coordinator.run(&error);
-    liveness.quiesce();
+    liveness.stop();
     if (!result)
         return fail(error);
 
@@ -371,10 +322,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
         return 2;
     }
-    // Serving without sampling would leave /timeseries and the
-    // dashboard sparklines empty; default the cadence on.
-    if (flags.serve && !flags.sampleMs)
-        flags.sampleMs = 500;
     if (flags.fleetWorkers > 0) {
         if (mode != "full") {
             std::fprintf(stderr, "--fleet requires mode 'full'\n");
@@ -386,32 +333,17 @@ main(int argc, char **argv)
     corpus::StoreError error;
     support::MetricsRegistry registry;
     report::EventLog log(&registry);
-    report::Watchdog watchdog(
-        {.stallThresholdUs = 60'000'000,
-         .events = &log,
-         .registry = &registry,
-         .onStall =
-             [](const std::string &dump) {
-                 std::fputs(dump.c_str(), stderr);
-             },
-         .clock = nullptr});
-    watchdog.start();
-
-    report::SnapshotWriter snapshots(
-        {.path = flags.metricsPath, .intervalMs = 500,
-         .registry = &registry});
-    if (!flags.metricsPath.empty())
-        snapshots.start();
+    report::Liveness liveness({.intervalMs = flags.sampleMs,
+                               .registry = &registry,
+                               .jsonlPath = flags.metricsPath,
+                               .events = &log});
+    liveness.start();
 
     // Tracing keeps the default process identity (pid 1,
     // "dce-campaign"), so single-process trace output is unchanged
     // by the fleet-identity machinery.
     if (!flags.tracePath.empty())
         support::Tracer::global().setEnabled(true);
-
-    LivenessStack liveness;
-    if (flags.sampleMs)
-        liveness.start(flags.sampleMs, registry, &log, nullptr);
 
     // One store handle for the whole process: the campaign writes
     // through it and — when serving — /report and /dossier read
@@ -441,7 +373,6 @@ main(int argc, char **argv)
     options.checkpointEveryChunks = 2;
     options.metrics = &registry;
     options.events = &log;
-    options.observer = watchdog.wrap({});
     options.status = &board;
     if (mode == "run")
         options.haltAfterChunks = halt_chunks;
@@ -451,13 +382,9 @@ main(int argc, char **argv)
     serve_options.metrics = &registry;
     serve_options.store = store.get();
     serve_options.events = &log;
-    serve_options.watchdog = &watchdog;
+    serve_options.liveness = &liveness;
     serve_options.status = &board;
     serve_options.allowRemoteShutdown = flags.serveWait;
-    if (flags.sampleMs) {
-        serve_options.timeseries = &liveness.series;
-        serve_options.throughput = liveness.monitor.get();
-    }
     serve::OpsServer ops(serve_options);
     if (flags.serve) {
         std::string serve_error;
@@ -472,10 +399,7 @@ main(int argc, char **argv)
 
     std::optional<corpus::CheckpointedCampaign> result =
         corpus::runCheckpointed(*store, plan, options, &error);
-    watchdog.stop();
-    liveness.quiesce();
-    if (!flags.metricsPath.empty())
-        snapshots.stop();
+    liveness.stop();
     if (!flags.tracePath.empty() &&
         !support::Tracer::global().writeJson(flags.tracePath)) {
         std::fprintf(stderr, "error: writing trace %s failed\n",

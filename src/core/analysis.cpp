@@ -31,13 +31,10 @@ aliveMarkers(const lang::TranslationUnit &unit,
 
 std::set<unsigned>
 aliveMarkers(const ir::Module &lowered, const compiler::Compiler &comp,
-             compiler::BuildObservers observers, SurvivalSource source)
+             compiler::BuildObservers observers)
 {
-    compiler::Compilation result =
-        comp.compileLowered(lowered, /*verify_each=*/false, observers);
-    if (source == SurvivalSource::Assembly)
-        return aliveMarkersInAsm(result.assembly());
-    return result.survivingMarkers();
+    return comp.compileLowered(lowered, /*verify_each=*/false, observers)
+        .survivingMarkers();
 }
 
 GroundTruth

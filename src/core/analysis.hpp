@@ -30,19 +30,6 @@ namespace dce::core {
 std::set<unsigned> aliveMarkersInAsm(const std::string &assembly);
 
 /**
- * Where a build's alive-marker set is read from. The two sources are
- * byte-identical by construction (the backend emits every call of
- * every function with a body — see compiler::survivingMarkersInIr);
- * Ir is the hot path, Assembly the paper's original black-box recipe,
- * kept selectable so the equivalence stays a tested invariant rather
- * than an assumption.
- */
-enum class SurvivalSource {
-    Ir,       ///< walk the optimized IR (no codegen — the fast path)
-    Assembly, ///< emit assembly and grep it (the paper's method)
-};
-
-/**
  * Compile the instrumented unit with @p comp and return the alive
  * marker set Comp(M) — step (2)+(3) of Figure 1 for one build.
  */
@@ -55,14 +42,18 @@ std::set<unsigned> aliveMarkers(const lang::TranslationUnit &unit,
  * ir::lowerToIr, then call this once per build — the campaign engine's
  * lowering cache in miniature.
  *
+ * Survival is read from the optimized IR, which equals grepping the
+ * emitted assembly (the paper's black-box recipe) by construction —
+ * the backend emits every call of every function with a body (see
+ * compiler::survivingMarkersInIr). The IrVsAsmEquivalence test keeps
+ * that equality checked.
+ *
  * @param observers optional remark/metric sinks for the build's
  *        pipeline run (DESIGN.md §9).
- * @param source    read survival from IR (default) or assembly.
  */
 std::set<unsigned>
 aliveMarkers(const ir::Module &lowered, const compiler::Compiler &comp,
-             compiler::BuildObservers observers = {},
-             SurvivalSource source = SurvivalSource::Ir);
+             compiler::BuildObservers observers = {});
 
 /** Ground truth from execution. */
 struct GroundTruth {

@@ -350,8 +350,7 @@ processSeed(uint64_t seed, const std::vector<BuildSpec> &builds,
         support::RemarkCollector remarks;
         std::set<unsigned> alive = aliveMarkers(
             *lowered, builds[b].make(),
-            {options.collectRemarks ? &remarks : nullptr, nullptr},
-            options.survivalSource);
+            {options.collectRemarks ? &remarks : nullptr, nullptr});
         ++local.cacheHits;
         record.missed[b] = missedMarkers(alive, truth);
         record.alive[b] = std::move(alive);

@@ -191,11 +191,6 @@ struct CampaignMetrics {
 
 struct CampaignOptions {
     bool computePrimary = false;
-    /** Where each build's alive-marker set is read from. Ir (default)
-     * walks the optimized module; Assembly materializes the backend
-     * emission and greps it, the paper's original recipe. Records are
-     * identical either way (a tested invariant). */
-    SurvivalSource survivalSource = SurvivalSource::Ir;
     /** Collect per-build killer-pass attribution (ProgramRecord::
      * kills) from optimization remarks. Off by default: the remark
      * census walks the module after every pass. */

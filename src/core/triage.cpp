@@ -67,11 +67,10 @@ rejectReasonName(RejectReason reason)
 
 InterestingnessTest::InterestingnessTest(
     unsigned marker, const BuildSpec &missed_by,
-    const BuildSpec &reference, support::MetricsRegistry *metrics,
-    SurvivalSource source)
+    const BuildSpec &reference, support::MetricsRegistry *metrics)
     : marker_(marker), markerName_(instrument::markerName(marker)),
       missedBy_(missed_by), reference_(reference),
-      sameBuild_(missed_by == reference), source_(source)
+      sameBuild_(missed_by == reference)
 {
     support::MetricsRegistry &registry =
         metrics ? *metrics : support::MetricsRegistry::global();
@@ -122,16 +121,14 @@ InterestingnessTest::test(const std::string &candidate,
     // missed-by side runs first — shrinking candidates most often stop
     // being missed, so the second pipeline is frequently skipped.
     compiles_->add();
-    if (!aliveMarkers(*lowered, missedBy_.make(), {}, source_)
-             .count(marker_))
+    if (!aliveMarkers(*lowered, missedBy_.make()).count(marker_))
         return reject(RejectReason::NotDifferential);
     // Equiv findings set reference == missedBy: the same build cannot
     // both miss and eliminate the marker, so the probe is vacuous.
     if (sameBuild_)
         return true;
     compiles_->add();
-    if (aliveMarkers(*lowered, reference_.make(), {}, source_)
-            .count(marker_))
+    if (aliveMarkers(*lowered, reference_.make()).count(marker_))
         return reject(RejectReason::NotDifferential);
     return true;
 }
@@ -142,7 +139,7 @@ namespace {
  * commit that resolves it, or a capability tag. */
 std::string
 signatureOf(const std::string &reduced_source, const Finding &finding,
-            bool &fixed, SurvivalSource source)
+            bool &fixed)
 {
     DiagnosticEngine diags;
     auto unit = lang::parseAndCheck(reduced_source, diags);
@@ -158,8 +155,7 @@ signatureOf(const std::string &reduced_source, const Finding &finding,
          commit < spec.history().size(); ++commit) {
         compiler::Compiler fixed_build(finding.missedBy.id,
                                        finding.missedBy.level, commit);
-        if (!aliveMarkers(*lowered, fixed_build, {}, source)
-                 .count(finding.marker)) {
+        if (!aliveMarkers(*lowered, fixed_build).count(finding.marker)) {
             fixed = true;
             return "fixedby:" + spec.history()[commit].hash;
         }
@@ -170,10 +166,8 @@ signatureOf(const std::string &reduced_source, const Finding &finding,
     std::string fingerprint = "capability:";
     for (compiler::OptLevel level : compiler::allOptLevels()) {
         compiler::Compiler probe(finding.missedBy.id, level);
-        fingerprint += aliveMarkers(*lowered, probe, {}, source)
-                               .count(finding.marker)
-                           ? 'm'
-                           : 'e';
+        fingerprint +=
+            aliveMarkers(*lowered, probe).count(finding.marker) ? 'm' : 'e';
     }
     return fingerprint;
 }
@@ -320,8 +314,7 @@ triageFindings(const std::vector<Finding> &findings,
 
                 InterestingnessTest interesting(
                     finding.marker, finding.missedBy,
-                    finding.reference, registry,
-                    options.survivalSource);
+                    finding.reference, registry);
                 reduce::ReduceOptions reduce_options;
                 reduce_options.maxTests = options.maxTests;
                 reduce_options.workers = options.reduceWorkers;
@@ -336,8 +329,7 @@ triageFindings(const std::vector<Finding> &findings,
                 support::TraceSpan span("signature", "triage");
                 span.setArg("seed", finding.seed);
                 slots[i].signature = signatureOf(
-                    slots[i].reduction.source, finding, slots[i].fixed,
-                    options.survivalSource);
+                    slots[i].reduction.source, finding, slots[i].fixed);
                 if (options.verdictCache) {
                     options.verdictCache->store(
                         keys[i],

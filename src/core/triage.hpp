@@ -101,8 +101,7 @@ class InterestingnessTest {
      * null = the process global. */
     InterestingnessTest(unsigned marker, const BuildSpec &missed_by,
                         const BuildSpec &reference,
-                        support::MetricsRegistry *metrics = nullptr,
-                        SurvivalSource source = SurvivalSource::Ir);
+                        support::MetricsRegistry *metrics = nullptr);
 
     /** Full check; when @p why is non-null it receives the reason on
      * rejection (untouched on acceptance). */
@@ -123,7 +122,6 @@ class InterestingnessTest {
     BuildSpec missedBy_;
     BuildSpec reference_;
     bool sameBuild_ = false; ///< reference == missedBy (equiv findings)
-    SurvivalSource source_;
     /** Reject counters in RejectReason order, plus the pipeline
      * counter — resolved once so the per-candidate path is lock-free. */
     std::vector<support::Counter *> rejects_;
@@ -239,10 +237,6 @@ std::optional<Finding> findingForRecord(const ProgramRecord &record,
 /** Knobs for the reduce/triage pipeline. */
 struct TriageOptions {
     gen::GenConfig generator;
-    /** Alive-set source for every pipeline probe (interestingness,
-     * fix-commit signaturing). Summaries are byte-identical across the
-     * two — the campaign invariant, kept testable here too. */
-    SurvivalSource survivalSource = SurvivalSource::Ir;
     /** Same-signature findings per compiler that still get "reported"
      * (and end up marked duplicate) — models the paper's imperfect
      * manual dedup; see triageFindings. */

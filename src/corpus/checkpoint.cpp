@@ -34,7 +34,7 @@ encodeCheckpointJson(
     const support::MetricsRegistry &registry,
     const std::map<uint64_t, std::vector<StoredFinding>> &findings)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("version", uint64_t(kFormatVersion));
     writer.key("plan");
@@ -71,7 +71,7 @@ encodeCheckpointJson(
     }
     writer.endArray();
     writer.endObject();
-    return sealJsonLine(writer.take());
+    return support::sealJsonLine(writer.take());
 }
 
 namespace {
@@ -98,10 +98,10 @@ bumpCounterTo(support::MetricsRegistry &registry,
 std::optional<CheckpointState>
 parseCheckpoint(std::string_view text)
 {
-    std::optional<JsonValue> doc = unsealJsonLine(text);
+    std::optional<support::JsonValue> doc = support::unsealJsonLine(text);
     if (!doc || doc->getU64("version") != kFormatVersion)
         return std::nullopt;
-    const JsonValue *plan_json = doc->get("plan");
+    const support::JsonValue *plan_json = doc->get("plan");
     if (!plan_json)
         return std::nullopt;
     std::optional<CampaignPlan> plan = readPlan(*plan_json);
@@ -112,23 +112,23 @@ parseCheckpoint(std::string_view text)
     data.plan = *plan;
     data.watermark = doc->getU64("watermark");
     data.rngState = doc->getU64("rngState");
-    const JsonValue *completed = doc->get("completed");
+    const support::JsonValue *completed = doc->get("completed");
     if (!completed || !completed->isArray())
         return std::nullopt;
-    for (const JsonValue &chunk : completed->items)
+    for (const support::JsonValue &chunk : completed->items)
         data.completed.insert(chunk.asU64());
-    const JsonValue *counters = doc->get("counters");
+    const support::JsonValue *counters = doc->get("counters");
     if (!counters || !counters->isArray())
         return std::nullopt;
-    for (const JsonValue &entry : counters->items)
+    for (const support::JsonValue &entry : counters->items)
         data.counters.emplace_back(entry.getString("k"),
                                    entry.getU64("v"));
-    const JsonValue *findings = doc->get("findings");
+    const support::JsonValue *findings = doc->get("findings");
     if (!findings || !findings->isArray())
         return std::nullopt;
     bool extract = plan->missedByBuild < plan->builds.size() &&
                    plan->referenceBuild < plan->builds.size();
-    for (const JsonValue &entry : findings->items) {
+    for (const support::JsonValue &entry : findings->items) {
         if (!extract)
             return std::nullopt; // findings without an extraction pair
         StoredFinding finding;
@@ -175,7 +175,7 @@ readCheckpointState(CorpusStore &store, StoreError *error)
 std::string
 serializePlan(const CampaignPlan &plan)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("firstSeed", plan.firstSeed);
     writer.field("count", plan.count);
@@ -199,7 +199,7 @@ serializePlan(const CampaignPlan &plan)
 }
 
 std::optional<CampaignPlan>
-readPlan(const JsonValue &value)
+readPlan(const support::JsonValue &value)
 {
     if (!value.isObject())
         return std::nullopt;
@@ -209,10 +209,10 @@ readPlan(const JsonValue &value)
     plan.randomSeeds = value.getBool("random");
     plan.streamSeed = value.getU64("stream");
     plan.chunkSize = unsigned(value.getU64("chunk"));
-    const JsonValue *builds = value.get("builds");
+    const support::JsonValue *builds = value.get("builds");
     if (!builds || !builds->isArray())
         return std::nullopt;
-    for (const JsonValue &entry : builds->items) {
+    for (const support::JsonValue &entry : builds->items) {
         std::optional<core::BuildSpec> build = readBuildSpec(entry);
         if (!build)
             return std::nullopt;
@@ -220,7 +220,7 @@ readPlan(const JsonValue &value)
     }
     plan.computePrimary = value.getBool("primary");
     plan.collectRemarks = value.getBool("remarks");
-    const JsonValue *generator = value.get("gen");
+    const support::JsonValue *generator = value.get("gen");
     if (!generator)
         return std::nullopt;
     std::optional<gen::GenConfig> config = readGenConfig(*generator);

@@ -34,9 +34,9 @@
 
 #include "core/campaign.hpp"
 #include "core/triage.hpp"
-#include "corpus/json.hpp"
 #include "corpus/store.hpp"
 #include "support/events.hpp"
+#include "support/json.hpp"
 
 namespace dce::corpus {
 
@@ -71,7 +71,7 @@ struct CampaignPlan {
 
 /** Canonical JSON form of @p plan (checkpoint field / equality). */
 std::string serializePlan(const CampaignPlan &plan);
-std::optional<CampaignPlan> readPlan(const JsonValue &value);
+std::optional<CampaignPlan> readPlan(const support::JsonValue &value);
 
 /**
  * Thread-safe snapshot of a checkpointed campaign's committed

@@ -24,7 +24,7 @@ programHash(std::string_view canonical_text)
 //===------------------------------------------------------------------===//
 
 void
-writeBuildSpec(JsonWriter &writer, const core::BuildSpec &spec)
+writeBuildSpec(support::JsonWriter &writer, const core::BuildSpec &spec)
 {
     writer.beginObject();
     writer.field("compiler", compiler::compilerName(spec.id));
@@ -61,12 +61,12 @@ parseOptLevel(std::string_view name)
 
 /** Read an array of unsigned ints into @p out; false on shape errors. */
 bool
-readUnsignedArray(const JsonValue *value, std::set<unsigned> &out)
+readUnsignedArray(const support::JsonValue *value, std::set<unsigned> &out)
 {
     if (!value || !value->isArray())
         return false;
-    for (const JsonValue &item : value->items) {
-        if (item.kind != JsonValue::Kind::Int || item.negative)
+    for (const support::JsonValue &item : value->items) {
+        if (item.kind != support::JsonValue::Kind::Int || item.negative)
             return false;
         out.insert(unsigned(item.magnitude));
     }
@@ -74,7 +74,7 @@ readUnsignedArray(const JsonValue *value, std::set<unsigned> &out)
 }
 
 void
-writeUnsignedSet(JsonWriter &writer, const std::set<unsigned> &set)
+writeUnsignedSet(support::JsonWriter &writer, const std::set<unsigned> &set)
 {
     writer.beginArray();
     for (unsigned marker : set)
@@ -98,7 +98,7 @@ parseInvalidReason(std::string_view name)
 } // namespace
 
 std::optional<core::BuildSpec>
-readBuildSpec(const JsonValue &value)
+readBuildSpec(const support::JsonValue &value)
 {
     if (!value.isObject())
         return std::nullopt;
@@ -109,14 +109,14 @@ readBuildSpec(const JsonValue &value)
     core::BuildSpec spec;
     spec.id = *id;
     spec.level = *level;
-    const JsonValue *commit = value.get("commit");
+    const support::JsonValue *commit = value.get("commit");
     if (!commit)
         return std::nullopt;
-    if (commit->kind == JsonValue::Kind::String) {
+    if (commit->kind == support::JsonValue::Kind::String) {
         if (commit->text != "head")
             return std::nullopt;
         spec.commit = SIZE_MAX;
-    } else if (commit->kind == JsonValue::Kind::Int &&
+    } else if (commit->kind == support::JsonValue::Kind::Int &&
                !commit->negative) {
         spec.commit = size_t(commit->magnitude);
     } else {
@@ -130,7 +130,7 @@ readBuildSpec(const JsonValue &value)
 //===------------------------------------------------------------------===//
 
 void
-writeGenConfig(JsonWriter &writer, const gen::GenConfig &config)
+writeGenConfig(support::JsonWriter &writer, const gen::GenConfig &config)
 {
     writer.beginObject();
     writer.field("globals", config.numGlobals);
@@ -144,7 +144,7 @@ writeGenConfig(JsonWriter &writer, const gen::GenConfig &config)
 }
 
 std::optional<gen::GenConfig>
-readGenConfig(const JsonValue &value)
+readGenConfig(const support::JsonValue &value)
 {
     if (!value.isObject())
         return std::nullopt;
@@ -166,7 +166,7 @@ readGenConfig(const JsonValue &value)
 std::string
 serializeRecord(const core::ProgramRecord &record)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("v", uint64_t(kFormatVersion));
     writer.field("seed", record.seed);
@@ -210,7 +210,7 @@ serializeRecord(const core::ProgramRecord &record)
 std::optional<core::ProgramRecord>
 deserializeRecord(std::string_view json)
 {
-    std::optional<JsonValue> doc = JsonValue::parse(json);
+    std::optional<support::JsonValue> doc = support::JsonValue::parse(json);
     if (!doc || !doc->isObject() ||
         doc->getU64("v") != kFormatVersion)
         return std::nullopt;
@@ -227,7 +227,7 @@ deserializeRecord(std::string_view json)
         return std::nullopt;
     auto setsField = [&](const char *name,
                          std::vector<std::set<unsigned>> &sets) {
-        const JsonValue *array = doc->get(name);
+        const support::JsonValue *array = doc->get(name);
         if (!array || !array->isArray())
             return false;
         sets.resize(array->items.size());
@@ -241,15 +241,15 @@ deserializeRecord(std::string_view json)
         !setsField("missed", record.missed) ||
         !setsField("primary", record.primary))
         return std::nullopt;
-    const JsonValue *kills = doc->get("kills");
+    const support::JsonValue *kills = doc->get("kills");
     if (!kills || !kills->isArray())
         return std::nullopt;
     record.kills.resize(kills->items.size());
     for (size_t i = 0; i < kills->items.size(); ++i) {
-        const JsonValue &build = kills->items[i];
+        const support::JsonValue &build = kills->items[i];
         if (!build.isArray())
             return std::nullopt;
-        for (const JsonValue &entry : build.items) {
+        for (const support::JsonValue &entry : build.items) {
             if (!entry.isObject())
                 return std::nullopt;
             core::MarkerKill kill;
@@ -267,7 +267,7 @@ deserializeRecord(std::string_view json)
 //===------------------------------------------------------------------===//
 
 void
-writeFinding(JsonWriter &writer, const core::Finding &finding)
+writeFinding(support::JsonWriter &writer, const core::Finding &finding)
 {
     writer.beginObject();
     writer.field("seed", finding.seed);
@@ -280,12 +280,12 @@ writeFinding(JsonWriter &writer, const core::Finding &finding)
 }
 
 std::optional<core::Finding>
-readFinding(const JsonValue &value)
+readFinding(const support::JsonValue &value)
 {
     if (!value.isObject())
         return std::nullopt;
-    const JsonValue *by = value.get("by");
-    const JsonValue *ref = value.get("ref");
+    const support::JsonValue *by = value.get("by");
+    const support::JsonValue *ref = value.get("ref");
     if (!by || !ref)
         return std::nullopt;
     auto missed_by = readBuildSpec(*by);
@@ -303,7 +303,7 @@ readFinding(const JsonValue &value)
 std::string
 serializeVerdict(const core::CachedVerdict &verdict)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("v", uint64_t(kFormatVersion));
     writer.field("src", verdict.reducedSource);
@@ -317,7 +317,7 @@ serializeVerdict(const core::CachedVerdict &verdict)
 std::optional<core::CachedVerdict>
 deserializeVerdict(std::string_view json)
 {
-    std::optional<JsonValue> doc = JsonValue::parse(json);
+    std::optional<support::JsonValue> doc = support::JsonValue::parse(json);
     if (!doc || !doc->isObject() ||
         doc->getU64("v") != kFormatVersion)
         return std::nullopt;

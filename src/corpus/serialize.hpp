@@ -19,7 +19,7 @@
 
 #include "core/campaign.hpp"
 #include "core/triage.hpp"
-#include "corpus/json.hpp"
+#include "support/json.hpp"
 
 namespace dce::corpus {
 
@@ -42,18 +42,18 @@ std::string programHash(std::string_view canonical_text);
 
 /** Append @p spec as a JSON object (compiler / level names, commit
  * index with SIZE_MAX spelled "head"). */
-void writeBuildSpec(JsonWriter &writer, const core::BuildSpec &spec);
+void writeBuildSpec(support::JsonWriter &writer, const core::BuildSpec &spec);
 
 /** Parse a writeBuildSpec object; nullopt on unknown names. */
 std::optional<core::BuildSpec>
-readBuildSpec(const JsonValue &value);
+readBuildSpec(const support::JsonValue &value);
 
 //===------------------------------------------------------------------===//
 // GenConfig
 //===------------------------------------------------------------------===//
 
-void writeGenConfig(JsonWriter &writer, const gen::GenConfig &config);
-std::optional<gen::GenConfig> readGenConfig(const JsonValue &value);
+void writeGenConfig(support::JsonWriter &writer, const gen::GenConfig &config);
+std::optional<gen::GenConfig> readGenConfig(const support::JsonValue &value);
 
 //===------------------------------------------------------------------===//
 // ProgramRecord
@@ -71,8 +71,8 @@ deserializeRecord(std::string_view json);
 // Finding / CachedVerdict
 //===------------------------------------------------------------------===//
 
-void writeFinding(JsonWriter &writer, const core::Finding &finding);
-std::optional<core::Finding> readFinding(const JsonValue &value);
+void writeFinding(support::JsonWriter &writer, const core::Finding &finding);
+std::optional<core::Finding> readFinding(const support::JsonValue &value);
 
 /** Serialize a verdict (reduced source + signature + classification)
  * to a standalone JSON document. */

@@ -141,7 +141,7 @@ payloadPath(const std::string &dir, uint64_t generation)
 std::string
 manifestJson(uint64_t generation)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("version", uint64_t(kFormatVersion));
     writer.field("generation", generation);
@@ -191,8 +191,8 @@ CorpusStore::open(const std::string &dir, StoreError *error,
     std::string manifest_text;
     if (!readWholeFile(manifest_path, manifest_text, error))
         return nullptr;
-    std::optional<JsonValue> manifest =
-        JsonValue::parse(manifest_text);
+    std::optional<support::JsonValue> manifest =
+        support::JsonValue::parse(manifest_text);
     if (!manifest || !manifest->isObject()) {
         setError(error, StoreStatus::Corrupt, "malformed MANIFEST");
         return nullptr;
@@ -354,7 +354,8 @@ CorpusStore::loadGeneration(StoreError *error)
 
     for (size_t i = 0; i < lines.size(); ++i) {
         auto [offset, line] = lines[i];
-        std::optional<JsonValue> entry_json = unsealJsonLine(line);
+        std::optional<support::JsonValue> entry_json =
+            support::unsealJsonLine(line);
         bool payload_ok = true;
         Entry entry;
         if (entry_json) {
@@ -371,7 +372,8 @@ CorpusStore::loadGeneration(StoreError *error)
             // means silent corruption: refuse the store.
             bool is_tail = true;
             for (size_t j = i + 1; j < lines.size(); ++j) {
-                std::optional<JsonValue> later = unsealJsonLine(lines[j].second);
+                std::optional<support::JsonValue> later =
+                    support::unsealJsonLine(lines[j].second);
                 if (later &&
                     later->getU64("off") + later->getU64("len") <=
                         payload_size) {
@@ -462,7 +464,7 @@ CorpusStore::appendPayload(std::string_view bytes)
 void
 CorpusStore::appendIndexLine(const std::string &body)
 {
-    std::string line = sealJsonLine(body);
+    std::string line = support::sealJsonLine(body);
     line += '\n';
     std::fwrite(line.data(), 1, line.size(), indexFile_);
     bytesWritten_->add(line.size());
@@ -510,7 +512,7 @@ CorpusStore::putProgram(const std::string &hash,
         return false;
     }
     Entry entry = appendPayload(canonical_text);
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("t", "program");
     writer.field("h", hash);
@@ -582,7 +584,7 @@ CorpusStore::putRecord(const core::ProgramRecord &record,
     entry.seed = record.seed;
     entry.chunk = chunk;
     entry.programHash = program_hash;
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("t", "record");
     writer.field("seed", record.seed);
@@ -642,7 +644,7 @@ CorpusStore::putVerdict(const std::string &fingerprint,
     entry.signature = verdict.signature;
     entry.fixed = verdict.fixed;
     entry.tests = verdict.reductionTests;
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("t", "verdict");
     writer.field("k", fingerprint);
@@ -836,7 +838,7 @@ CorpusStore::compact(StoreError *error)
         if (!copyPayload(programs_.at(hash), "program " + hash,
                          fresh))
             return false;
-        JsonWriter writer;
+        support::JsonWriter writer;
         writer.beginObject();
         writer.field("t", "program");
         writer.field("h", hash);
@@ -844,7 +846,7 @@ CorpusStore::compact(StoreError *error)
         writer.field("len", fresh.length);
         writer.field("pcrc", fresh.payloadCrc);
         writer.endObject();
-        index_text += sealJsonLine(writer.take());
+        index_text += support::sealJsonLine(writer.take());
         index_text += '\n';
         new_programs.emplace(hash, std::move(fresh));
     }
@@ -857,7 +859,7 @@ CorpusStore::compact(StoreError *error)
                          "record slot " + std::to_string(slot),
                          fresh))
             return false;
-        JsonWriter writer;
+        support::JsonWriter writer;
         writer.beginObject();
         writer.field("t", "record");
         writer.field("seed", fresh.seed);
@@ -868,7 +870,7 @@ CorpusStore::compact(StoreError *error)
         writer.field("len", fresh.length);
         writer.field("pcrc", fresh.payloadCrc);
         writer.endObject();
-        index_text += sealJsonLine(writer.take());
+        index_text += support::sealJsonLine(writer.take());
         index_text += '\n';
         new_records.emplace(slot, std::move(fresh));
     }
@@ -885,7 +887,7 @@ CorpusStore::compact(StoreError *error)
         fresh.tests = old.tests;
         if (!copyPayload(old, "verdict " + fingerprint, fresh))
             return false;
-        JsonWriter writer;
+        support::JsonWriter writer;
         writer.beginObject();
         writer.field("t", "verdict");
         writer.field("k", fingerprint);
@@ -893,7 +895,7 @@ CorpusStore::compact(StoreError *error)
         writer.field("len", fresh.length);
         writer.field("pcrc", fresh.payloadCrc);
         writer.endObject();
-        index_text += sealJsonLine(writer.take());
+        index_text += support::sealJsonLine(writer.take());
         index_text += '\n';
         new_verdicts.emplace(fingerprint, std::move(fresh));
     }

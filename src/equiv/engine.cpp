@@ -496,7 +496,7 @@ checkEquivPair(const std::string &base_source,
 namespace {
 
 void
-writeChain(corpus::JsonWriter &json,
+writeChain(support::JsonWriter &json,
            const std::vector<TransformKind> &chain)
 {
     json.beginArray();
@@ -506,12 +506,12 @@ writeChain(corpus::JsonWriter &json,
 }
 
 std::vector<TransformKind>
-readChain(const corpus::JsonValue *value)
+readChain(const support::JsonValue *value)
 {
     std::vector<TransformKind> chain;
     if (!value || !value->isArray())
         return chain;
-    for (const corpus::JsonValue &item : value->items) {
+    for (const support::JsonValue &item : value->items) {
         if (std::optional<TransformKind> kind =
                 transformKindFromName(item.text))
             chain.push_back(*kind);
@@ -524,7 +524,7 @@ readChain(const corpus::JsonValue *value)
 std::string
 serializeEquivSummary(const EquivSummary &summary)
 {
-    corpus::JsonWriter json;
+    support::JsonWriter json;
     json.beginObject();
     json.field("version", uint64_t{1});
     json.field("k", summary.variantsPerProgram);
@@ -583,14 +583,14 @@ serializeEquivSummary(const EquivSummary &summary)
     }
     json.endArray();
     json.endObject();
-    return corpus::sealJsonLine(json.take());
+    return support::sealJsonLine(json.take());
 }
 
 std::optional<EquivSummary>
 readEquivSummary(std::string_view line)
 {
-    std::optional<corpus::JsonValue> value =
-        corpus::unsealJsonLine(line);
+    std::optional<support::JsonValue> value =
+        support::unsealJsonLine(line);
     if (!value || !value->isObject() || value->getU64("version") != 1)
         return std::nullopt;
     EquivSummary summary;
@@ -599,12 +599,12 @@ readEquivSummary(std::string_view line)
     summary.seed = value->getU64("seed");
     summary.programs = value->getU64("programs");
     summary.variants = value->getU64("variants");
-    if (const corpus::JsonValue *rejects = value->get("rejects")) {
+    if (const support::JsonValue *rejects = value->get("rejects")) {
         for (const auto &[reason, count] : rejects->members)
             summary.rejects[reason] = count.asU64();
     }
-    if (const corpus::JsonValue *findings = value->get("findings")) {
-        for (const corpus::JsonValue &item : findings->items) {
+    if (const support::JsonValue *findings = value->get("findings")) {
+        for (const support::JsonValue &item : findings->items) {
             EquivFinding finding;
             finding.slot = item.getU64("slot");
             finding.seed = item.getU64("seed");
@@ -638,8 +638,8 @@ readEquivSummary(std::string_view line)
             summary.findings.push_back(std::move(finding));
         }
     }
-    if (const corpus::JsonValue *outliers = value->get("outliers")) {
-        for (const corpus::JsonValue &item : outliers->items) {
+    if (const support::JsonValue *outliers = value->get("outliers")) {
+        for (const support::JsonValue &item : outliers->items) {
             EquivOutlier outlier;
             outlier.slot = item.getU64("slot");
             outlier.baseHash = item.getString("base");

@@ -13,11 +13,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "corpus/json.hpp"
 #include "fleet/metrics_io.hpp"
 #include "fleet/trace_merge.hpp"
 #include "fleet/worker.hpp"
 #include "support/hash.hpp"
+#include "support/json.hpp"
 #include "support/trace.hpp"
 
 namespace dce::fleet {
@@ -474,7 +474,7 @@ FleetCoordinator::mergeWorkerMetrics(
 std::string
 FleetCoordinator::fleetJson() const
 {
-    corpus::JsonWriter writer;
+    support::JsonWriter writer;
     std::lock_guard<std::mutex> lock(mutex_);
     writer.beginObject();
     writer.field("workers_spawned", spawned_);

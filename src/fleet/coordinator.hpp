@@ -66,8 +66,8 @@ struct FleetOptions {
      * every worker traces itself; after the run the coordinator folds
      * traces/ into mergedTracePath() with mergeTraces(). */
     bool trace = false;
-    /** Per-worker SnapshotWriter cadence, persisted into PLAN.json;
-     * 0 disables the samplers. */
+    /** Per-worker liveness cadence (metrics.jsonl), persisted into
+     * PLAN.json; 0 disables the samplers. */
     uint64_t snapshotIntervalMs = 0;
     /** Sink for supervision log lines (worker died, lease reclaimed);
      * null = silent. */

@@ -6,7 +6,7 @@
 #include <ctime>
 #include <unistd.h>
 
-#include "corpus/json.hpp"
+#include "support/json.hpp"
 
 namespace dce::fleet {
 
@@ -185,7 +185,7 @@ bool
 writeFleetConfig(const std::string &fleet_dir,
                  const FleetConfig &config, corpus::StoreError *error)
 {
-    corpus::JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("version", uint64_t(1));
     writer.key("plan");
@@ -200,7 +200,7 @@ writeFleetConfig(const std::string &fleet_dir,
     writer.field("snapshot_interval_ms", config.snapshotIntervalMs);
     writer.endObject();
     return writeFileAtomic(planPath(fleet_dir),
-                           corpus::sealJsonLine(writer.take()) + "\n",
+                           support::sealJsonLine(writer.take()) + "\n",
                            error);
 }
 
@@ -214,14 +214,14 @@ readFleetConfig(const std::string &fleet_dir,
         return std::nullopt;
     while (!text->empty() && text->back() == '\n')
         text->pop_back();
-    std::optional<corpus::JsonValue> value =
-        corpus::unsealJsonLine(*text);
+    std::optional<support::JsonValue> value =
+        support::unsealJsonLine(*text);
     if (!value) {
         setError(error, corpus::StoreStatus::Corrupt,
                  "PLAN.json failed its checksum");
         return std::nullopt;
     }
-    const corpus::JsonValue *plan_value = value->get("plan");
+    const support::JsonValue *plan_value = value->get("plan");
     std::optional<corpus::CampaignPlan> plan =
         plan_value ? corpus::readPlan(*plan_value) : std::nullopt;
     if (!plan) {

@@ -58,8 +58,8 @@ struct FleetConfig {
      * own span file and folds them with mergeTraces(). Persisted so
      * fork+exec workers pick it up from PLAN.json alone. */
     bool trace = false;
-    /** Per-worker SnapshotWriter cadence (worker.<seq>/metrics.jsonl);
-     * 0 disables the sampler. */
+    /** Per-worker liveness cadence, JSONL sink only
+     * (worker.<seq>/metrics.jsonl); 0 disables the sampler. */
     uint64_t snapshotIntervalMs = 0;
 
     uint64_t numChunks() const;

@@ -9,8 +9,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "corpus/json.hpp"
 #include "fleet/fleet.hpp"
+#include "support/json.hpp"
 
 namespace dce::fleet {
 
@@ -84,7 +84,7 @@ class TableLock {
 std::string
 encodeLease(const Lease &lease)
 {
-    corpus::JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("lease", lease.index);
     writer.field("begin", lease.beginChunk);
@@ -116,7 +116,7 @@ encodeLease(const Lease &lease)
     }
     writer.endArray();
     writer.endObject();
-    return corpus::sealJsonLine(writer.take()) + "\n";
+    return support::sealJsonLine(writer.take()) + "\n";
 }
 
 std::optional<Lease>
@@ -125,8 +125,8 @@ decodeLease(std::string_view text, corpus::StoreError *error,
 {
     while (!text.empty() && text.back() == '\n')
         text.remove_suffix(1);
-    std::optional<corpus::JsonValue> value =
-        corpus::unsealJsonLine(text);
+    std::optional<support::JsonValue> value =
+        support::unsealJsonLine(text);
     if (!value) {
         setError(error, corpus::StoreStatus::Corrupt,
                  path + " failed its checksum");
@@ -149,18 +149,18 @@ decodeLease(std::string_view text, corpus::StoreError *error,
                  path + " has unknown state '" + state + "'");
         return std::nullopt;
     }
-    if (const corpus::JsonValue *pid = value->get("pid"))
+    if (const support::JsonValue *pid = value->get("pid"))
         lease.ownerPid = pid->asI64();
     lease.store = value->getString("store");
     lease.claimMs = value->getU64("claim_ms");
     lease.stageUs = value->getU64("stage_us");
-    if (const corpus::JsonValue *counters = value->get("counters")) {
-        for (const corpus::JsonValue &entry : counters->items)
+    if (const support::JsonValue *counters = value->get("counters")) {
+        for (const support::JsonValue &entry : counters->items)
             lease.counters.emplace_back(entry.getString("k"),
                                         entry.getU64("v"));
     }
-    if (const corpus::JsonValue *findings = value->get("findings")) {
-        for (const corpus::JsonValue &entry : findings->items) {
+    if (const support::JsonValue *findings = value->get("findings")) {
+        for (const support::JsonValue &entry : findings->items) {
             LeaseFinding finding;
             finding.chunk = entry.getU64("chunk");
             finding.slot = entry.getU64("slot");

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "corpus/json.hpp"
+#include "support/json.hpp"
 
 namespace dce::fleet {
 
@@ -10,7 +10,7 @@ std::string
 encodeRegistryDump(const CounterList &counters,
                    const HistogramList &histograms)
 {
-    corpus::JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.key("counters");
     writer.beginArray();
@@ -43,7 +43,7 @@ encodeRegistryDump(const CounterList &counters,
     }
     writer.endArray();
     writer.endObject();
-    return corpus::sealJsonLine(writer.take()) + "\n";
+    return support::sealJsonLine(writer.take()) + "\n";
 }
 
 bool
@@ -52,23 +52,23 @@ absorbRegistryDump(std::string_view text,
 {
     while (!text.empty() && text.back() == '\n')
         text.remove_suffix(1);
-    std::optional<corpus::JsonValue> value =
-        corpus::unsealJsonLine(text);
+    std::optional<support::JsonValue> value =
+        support::unsealJsonLine(text);
     if (!value || !value->isObject())
         return false;
-    if (const corpus::JsonValue *counters = value->get("counters")) {
-        for (const corpus::JsonValue &entry : counters->items) {
+    if (const support::JsonValue *counters = value->get("counters")) {
+        for (const support::JsonValue &entry : counters->items) {
             uint64_t delta = entry.getU64("v");
             if (delta)
                 into.counter(entry.getString("k")).add(delta);
         }
     }
-    if (const corpus::JsonValue *histograms =
+    if (const support::JsonValue *histograms =
             value->get("histograms")) {
-        for (const corpus::JsonValue &entry : histograms->items) {
+        for (const support::JsonValue &entry : histograms->items) {
             std::array<uint64_t, support::Histogram::kBuckets>
                 buckets{};
-            if (const corpus::JsonValue *raw = entry.get("buckets")) {
+            if (const support::JsonValue *raw = entry.get("buckets")) {
                 size_t n = std::min(raw->items.size(),
                                     buckets.size());
                 for (size_t i = 0; i < n; ++i)

@@ -4,8 +4,8 @@
 #include <filesystem>
 #include <vector>
 
-#include "corpus/json.hpp"
 #include "fleet/fleet.hpp"
+#include "support/json.hpp"
 
 namespace fs = std::filesystem;
 
@@ -27,9 +27,9 @@ setError(corpus::StoreError *error, corpus::StoreStatus status,
  * parser's (sorted) key order — deterministic for identical inputs,
  * which is all the merge contract needs. */
 void
-appendJsonValue(std::string &out, const corpus::JsonValue &value)
+appendJsonValue(std::string &out, const support::JsonValue &value)
 {
-    using Kind = corpus::JsonValue::Kind;
+    using Kind = support::JsonValue::Kind;
     switch (value.kind) {
     case Kind::Null:
         out += "null";
@@ -44,7 +44,7 @@ appendJsonValue(std::string &out, const corpus::JsonValue &value)
         break;
     case Kind::String:
         out += '"';
-        out += corpus::jsonEscape(value.text);
+        out += support::jsonEscaped(value.text);
         out += '"';
         break;
     case Kind::Array:
@@ -65,7 +65,7 @@ appendJsonValue(std::string &out, const corpus::JsonValue &value)
                     out += ',';
                 first = false;
                 out += '"';
-                out += corpus::jsonEscape(key);
+                out += support::jsonEscaped(key);
                 out += "\":";
                 appendJsonValue(out, member);
             }
@@ -76,11 +76,11 @@ appendJsonValue(std::string &out, const corpus::JsonValue &value)
     return;
 }
 
-corpus::JsonValue
+support::JsonValue
 makeInt(uint64_t number)
 {
-    corpus::JsonValue value;
-    value.kind = corpus::JsonValue::Kind::Int;
+    support::JsonValue value;
+    value.kind = support::JsonValue::Kind::Int;
     value.magnitude = number;
     return value;
 }
@@ -126,34 +126,34 @@ mergeTraces(const std::string &fleet_dir, const std::string &out_path,
         std::optional<std::string> text = readFile(path, error);
         if (!text)
             return std::nullopt;
-        std::optional<corpus::JsonValue> doc =
-            corpus::JsonValue::parse(*text);
+        std::optional<support::JsonValue> doc =
+            support::JsonValue::parse(*text);
         if (!doc || !doc->isObject()) {
             // A SIGKILLed worker can leave a truncated file; skip it
             // rather than losing the rest of the fleet's timeline.
             continue;
         }
-        const corpus::JsonValue *events = doc->get("traceEvents");
+        const support::JsonValue *events = doc->get("traceEvents");
         if (!events || !events->isArray())
             continue;
         ++merged_pid;
         ++result.files;
-        for (const corpus::JsonValue &event : events->items) {
+        for (const support::JsonValue &event : events->items) {
             if (!event.isObject())
                 continue;
-            corpus::JsonValue patched = event;
+            support::JsonValue patched = event;
             uint64_t original_pid = patched.getU64("pid", 1);
             patched.members["pid"] = makeInt(merged_pid);
             // Keep the real pid visible on the track label.
             if (patched.getString("name") == "process_name") {
-                corpus::JsonValue *args =
+                support::JsonValue *args =
                     patched.members.count("args")
                         ? &patched.members["args"]
                         : nullptr;
                 if (args && args->isObject()) {
-                    corpus::JsonValue &name = args->members["name"];
+                    support::JsonValue &name = args->members["name"];
                     if (name.kind ==
-                        corpus::JsonValue::Kind::String)
+                        support::JsonValue::Kind::String)
                         name.text += " [pid " +
                                      std::to_string(original_pid) +
                                      "]";

@@ -13,7 +13,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/metrics_io.hpp"
-#include "report/snapshot.hpp"
+#include "report/liveness.hpp"
 #include "support/trace.hpp"
 
 namespace dce::fleet {
@@ -86,16 +86,19 @@ runFleetWorker(const std::string &fleet_dir,
     if (!store)
         return fail(error, "open worker store");
 
-    // Optional per-worker time series (worker.<seq>/metrics.jsonl):
-    // operational data, never merged into checkpointed state.
-    std::unique_ptr<report::SnapshotWriter> snapshots;
+    // Optional per-worker snapshots (worker.<seq>/metrics.jsonl):
+    // operational data, never merged into checkpointed state. The JSONL
+    // sink only — this registry never sees campaign.seeds, so a stall
+    // detector here would fire falsely.
+    std::unique_ptr<report::Liveness> liveness;
     if (config->snapshotIntervalMs) {
-        report::SnapshotOptions snap;
-        snap.path = workerSnapshotPath(fleet_dir, store_name);
-        snap.intervalMs = config->snapshotIntervalMs;
-        snap.registry = &store_registry;
-        snapshots = std::make_unique<report::SnapshotWriter>(snap);
-        snapshots->start();
+        liveness = std::make_unique<report::Liveness>(
+            report::LivenessOptions{
+                .intervalMs = config->snapshotIntervalMs,
+                .registry = &store_registry,
+                .jsonlPath = workerSnapshotPath(fleet_dir, store_name),
+                .health = false});
+        liveness->start();
     }
 
     LeaseTable table(fleet_dir);
@@ -233,8 +236,8 @@ runFleetWorker(const std::string &fleet_dir,
         publishMetrics(fleet_dir, store_name, dump_counters,
                        dump_hists);
     }
-    if (snapshots)
-        snapshots->stop();
+    if (liveness)
+        liveness->stop();
     if (config->trace) {
         // Best-effort like the metrics dump: a lost trace costs the
         // timeline, never the run's exit status.

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 
-#include "corpus/json.hpp"
 #include "report/dossier.hpp"
 #include "report/report.hpp"
 #include "serve/dashboard.hpp"
+#include "support/json.hpp"
 
 namespace dce::serve {
 
@@ -30,31 +29,22 @@ jsonResponse(int status, std::string body)
     return response;
 }
 
-/** JSON has no integer-safe doubles; format rates explicitly. */
-std::string
-formatDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.3f", value);
-    return buffer;
-}
-
 /** {"count":N,"p50":"..","p90":"..","p99":".."} for one histogram. */
 void
-appendPercentiles(corpus::JsonWriter &writer,
+appendPercentiles(support::JsonWriter &writer,
                   const support::MetricsRegistry::HistogramSnapshot
                       &snapshot)
 {
     writer.beginObject();
     writer.field("count", snapshot.count);
     writer.field("p50",
-                 formatDouble(support::Histogram::percentileFromBuckets(
+                 support::jsonDecimal(support::Histogram::percentileFromBuckets(
                      snapshot.buckets, snapshot.count, 0.5)));
     writer.field("p90",
-                 formatDouble(support::Histogram::percentileFromBuckets(
+                 support::jsonDecimal(support::Histogram::percentileFromBuckets(
                      snapshot.buckets, snapshot.count, 0.9)));
     writer.field("p99",
-                 formatDouble(support::Histogram::percentileFromBuckets(
+                 support::jsonDecimal(support::Histogram::percentileFromBuckets(
                      snapshot.buckets, snapshot.count, 0.99)));
     writer.endObject();
 }
@@ -62,7 +52,7 @@ appendPercentiles(corpus::JsonWriter &writer,
 /** The /progress "latency" block: per-stage campaign.stage_us
  * percentiles plus serve.request_us (DESIGN.md §17). */
 void
-appendLatency(corpus::JsonWriter &writer,
+appendLatency(support::JsonWriter &writer,
               const support::MetricsRegistry &registry)
 {
     constexpr std::string_view prefix = "campaign.stage_us{";
@@ -219,10 +209,10 @@ OpsServer::metricsEndpoint() const
 HttpResponse
 OpsServer::readyzEndpoint() const
 {
-    if (options_.watchdog && options_.watchdog->stalled())
+    if (options_.liveness && options_.liveness->stalled())
         return HttpResponse::text(
             503, "stalled: watchdog fired, no recent progress\n");
-    if (options_.throughput && options_.throughput->degraded())
+    if (options_.liveness && options_.liveness->degraded())
         return HttpResponse::text(
             503, "degraded: throughput below baseline\n");
     return HttpResponse::text(200, "ready\n");
@@ -270,7 +260,7 @@ OpsServer::progressEndpoint() const
                   (rate * (parallelism > 0.0 ? parallelism : 1.0))
             : 0.0;
 
-    corpus::JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("active", snap.active);
     writer.field("complete", snap.complete);
@@ -302,9 +292,9 @@ OpsServer::progressEndpoint() const
     // Quoted decimals: the in-tree JSON reader (and the checkpoint
     // format it serves) is integer-only, and jq's `tonumber` covers
     // shell consumers.
-    writer.field("seeds_per_pipeline_second", formatDouble(rate));
+    writer.field("seeds_per_pipeline_second", support::jsonDecimal(rate));
     if (eta_known) {
-        writer.field("eta_seconds", formatDouble(eta_seconds));
+        writer.field("eta_seconds", support::jsonDecimal(eta_seconds));
     } else {
         writer.key("eta_seconds");
         writer.null();
@@ -366,7 +356,7 @@ OpsServer::dossierIndexEndpoint() const
     if (!data)
         return storeFailure(error);
 
-    corpus::JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("findings", uint64_t(data->state.findings.size()));
     writer.key("dossiers");
@@ -478,7 +468,7 @@ OpsServer::fleetEndpoint() const
 HttpResponse
 OpsServer::timeseriesEndpoint(const HttpRequest &request) const
 {
-    if (!options_.timeseries)
+    if (!options_.liveness)
         return HttpResponse::text(404, "no time series attached\n");
     uint64_t since = 0;
     if (std::optional<std::string> raw = request.queryParam("since")) {
@@ -489,7 +479,7 @@ OpsServer::timeseriesEndpoint(const HttpRequest &request) const
                 400, "bad request: since must be an integer\n");
     }
     return jsonResponse(
-        200, support::timeSeriesJson(*options_.timeseries, since) +
+        200, support::timeSeriesJson(options_.liveness->series(), since) +
                  "\n");
 }
 

@@ -7,7 +7,8 @@
  *
  *     GET /metrics        Prometheus text (MetricsRegistry::expose())
  *     GET /healthz        process liveness (always 200 once serving)
- *     GET /readyz         503 while the Watchdog stall latch is fired
+ *     GET /readyz         503 while the liveness pipeline reads the
+ *                         campaign as stalled or degraded
  *     GET /progress       JSON checkpoint-committed progress + rates
  *     GET /report         live campaign report, Markdown
  *     GET /report.html    the same report, rendered HTML
@@ -43,11 +44,9 @@
 
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
-#include "report/anomaly.hpp"
 #include "report/event_log.hpp"
-#include "report/watchdog.hpp"
+#include "report/liveness.hpp"
 #include "serve/http.hpp"
-#include "support/timeseries.hpp"
 
 namespace dce::serve {
 
@@ -90,8 +89,6 @@ struct OpsServerOptions {
     /** Event log behind /events and dossier trajectories; null
      * disables /events (404). */
     const report::EventLog *events = nullptr;
-    /** Watchdog behind /readyz; null = always ready. */
-    const report::Watchdog *watchdog = nullptr;
     /** Status board behind /progress; null disables /progress (404).
      * Wire the same board into CheckpointRunOptions::status. */
     const corpus::CampaignStatusBoard *status = nullptr;
@@ -107,13 +104,11 @@ struct OpsServerOptions {
      * worker's dump on top of this server's own registry, and /fleet
      * serves the per-worker/per-lease detail. */
     const FleetOpsSource *fleet = nullptr;
-    /** Liveness ring behind /timeseries and the /dashboard
-     * sparklines; null disables /timeseries (404). Fed by a
-     * support::TimeSeriesSampler the owner runs. */
-    const support::TimeSeries *timeseries = nullptr;
-    /** Throughput monitor consulted by /readyz alongside the
-     * watchdog; null = never degraded. */
-    const report::ThroughputMonitor *throughput = nullptr;
+    /** Liveness pipeline behind /readyz (503 while stalled, then
+     * while degraded) and /timeseries + the /dashboard sparklines
+     * (its ring); null = always ready and /timeseries disabled (404).
+     * The owner runs it. */
+    const report::Liveness *liveness = nullptr;
 };
 
 class OpsServer {

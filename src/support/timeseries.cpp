@@ -1,33 +1,12 @@
 #include "support/timeseries.hpp"
 
 #include <bit>
-#include <chrono>
-#include <cstdio>
+
+#include "support/json.hpp"
 
 namespace dce::support {
 
 namespace {
-
-uint64_t
-wallMsNow()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Decimals are serialized as quoted "%.3f" strings — the repo-wide
- * integer-only-JSON convention (matches /progress). */
-void
-appendQuotedDouble(std::string &out, double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.3f", value);
-    out += '"';
-    out += buffer;
-    out += '"';
-}
 
 // Ring field layout. seq lives in the slot stamp (stamp = seq + 1).
 enum Field : size_t {
@@ -119,162 +98,32 @@ TimeSeries::read(uint64_t since) const
 std::string
 timeSeriesJson(const TimeSeries &series, uint64_t since)
 {
-    std::vector<TimeSample> points = series.read(since);
-    std::string out = "{\"capacity\":";
-    out += std::to_string(series.capacity());
-    out += ",\"next\":";
-    out += std::to_string(series.next());
-    out += ",\"points\":[";
-    bool first = true;
-    for (const TimeSample &point : points) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += "{\"seq\":";
-        out += std::to_string(point.seq);
-        out += ",\"wall_ms\":";
-        out += std::to_string(point.wallMs);
-        out += ",\"seeds\":";
-        out += std::to_string(point.seeds);
-        out += ",\"findings\":";
-        out += std::to_string(point.findings);
-        out += ",\"seeds_per_sec\":";
-        appendQuotedDouble(out, point.seedsPerSec);
-        out += ",\"cache_hit_rate\":";
-        appendQuotedDouble(out, point.cacheHitRate);
-        out += ",\"stage_p99_us\":{";
-        for (size_t i = 0; i < kTimeSeriesStages.size(); ++i) {
-            if (i)
-                out += ',';
-            out += '"';
-            out += kTimeSeriesStages[i];
-            out += "\":";
-            appendQuotedDouble(out, point.stageP99Us[i]);
-        }
-        out += "},\"serve_p99_us\":";
-        appendQuotedDouble(out, point.serveP99Us);
-        out += '}';
+    JsonWriter writer;
+    writer.beginObject();
+    writer.field("capacity", uint64_t(series.capacity()));
+    writer.field("next", series.next());
+    writer.key("points");
+    writer.beginArray();
+    for (const TimeSample &point : series.read(since)) {
+        writer.beginObject();
+        writer.field("seq", point.seq);
+        writer.field("wall_ms", point.wallMs);
+        writer.field("seeds", point.seeds);
+        writer.field("findings", point.findings);
+        writer.field("seeds_per_sec", jsonDecimal(point.seedsPerSec));
+        writer.field("cache_hit_rate", jsonDecimal(point.cacheHitRate));
+        writer.key("stage_p99_us");
+        writer.beginObject();
+        for (size_t i = 0; i < kTimeSeriesStages.size(); ++i)
+            writer.field(kTimeSeriesStages[i],
+                         jsonDecimal(point.stageP99Us[i]));
+        writer.endObject();
+        writer.field("serve_p99_us", jsonDecimal(point.serveP99Us));
+        writer.endObject();
     }
-    out += "]}";
-    return out;
-}
-
-TimeSeriesSampler::TimeSeriesSampler(TimeSeries &series,
-                                     TimeSeriesSamplerOptions options)
-    : series_(series), options_(std::move(options))
-{
-    if (!options_.registry)
-        options_.registry = &MetricsRegistry::global();
-    if (!options_.clock)
-        options_.clock = wallMsNow;
-}
-
-TimeSeriesSampler::~TimeSeriesSampler()
-{
-    stop();
-}
-
-TimeSample
-TimeSeriesSampler::sampleOnce()
-{
-    // Fleet mode folds worker dumps into a scratch registry so the
-    // sample covers every process; single-process samples directly.
-    MetricsRegistry scratch;
-    MetricsRegistry *source = options_.registry;
-    if (options_.augment) {
-        scratch.merge(*options_.registry);
-        options_.augment(scratch);
-        source = &scratch;
-    }
-
-    TimeSample sample;
-    sample.wallMs = options_.clock();
-    sample.seeds = source->counterValue("campaign.seeds");
-    sample.findings =
-        source->counterValue("campaign.progress", "findings");
-    uint64_t hits = source->counterValue("campaign.cache_hits");
-    uint64_t misses = source->counterValue("campaign.cache_misses");
-    if (hits + misses)
-        sample.cacheHitRate = static_cast<double>(hits) /
-                              static_cast<double>(hits + misses);
-    for (const auto &[key, snapshot] : source->histograms()) {
-        for (size_t i = 0; i < kTimeSeriesStages.size(); ++i) {
-            if (key == MetricsRegistry::keyFor("campaign.stage_us",
-                                               kTimeSeriesStages[i]))
-                sample.stageP99Us[i] = Histogram::percentileFromBuckets(
-                    snapshot.buckets, snapshot.count, 0.99);
-        }
-        if (key == "serve.request_us")
-            sample.serveP99Us = Histogram::percentileFromBuckets(
-                snapshot.buckets, snapshot.count, 0.99);
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (havePrevious_ && sample.wallMs > lastWallMs_ &&
-            sample.seeds >= lastSeeds_) {
-            double dt = static_cast<double>(sample.wallMs -
-                                            lastWallMs_) /
-                        1000.0;
-            sample.seedsPerSec =
-                static_cast<double>(sample.seeds - lastSeeds_) / dt;
-        }
-        lastSeeds_ = sample.seeds;
-        lastWallMs_ = sample.wallMs;
-        havePrevious_ = true;
-    }
-
-    series_.append(sample);
-    if (options_.onSample)
-        options_.onSample(sample);
-    return sample;
-}
-
-void
-TimeSeriesSampler::start()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (running_)
-            return;
-        stopRequested_ = false;
-        running_ = true;
-    }
-    sampler_ = std::thread([this] { run(); });
-}
-
-void
-TimeSeriesSampler::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!running_)
-            return;
-        stopRequested_ = true;
-    }
-    wake_.notify_all();
-    sampler_.join();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        running_ = false;
-    }
-    sampleOnce(); // final sample so the series covers shutdown
-}
-
-void
-TimeSeriesSampler::run()
-{
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait_for(
-                lock, std::chrono::milliseconds(options_.intervalMs),
-                [this] { return stopRequested_; });
-            if (stopRequested_)
-                return;
-        }
-        sampleOnce();
-    }
+    writer.endArray();
+    writer.endObject();
+    return writer.take();
 }
 
 } // namespace dce::support

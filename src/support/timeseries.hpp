@@ -6,7 +6,7 @@
  * endpoint and the /dashboard sparklines.
  *
  * The ring is a per-slot seqlock over all-atomic fields: the single
- * writer (a TimeSeriesSampler thread) stamps a slot as in-progress,
+ * writer (the report::Liveness sampler) stamps a slot as in-progress,
  * stores the fields, then publishes the slot's global sequence number;
  * readers double-check the stamp and skip torn or overwritten slots.
  * Because the stamp holds the *global* sequence (not a per-slot
@@ -16,23 +16,16 @@
  * are wall-clock-stamped, never checkpointed, and never feed the
  * summary or the campaign report, so the byte-identical kill/resume
  * and fleet-merge guarantees are untouched (the same contract as the
- * SnapshotWriter's JSONL, DESIGN.md §12).
+ * liveness pipeline's JSONL, DESIGN.md §12).
  */
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <condition_variable>
-#include <mutex>
-
-#include "support/metrics.hpp"
 
 namespace dce::support {
 
@@ -96,60 +89,5 @@ private:
  * "points":[{...},...]}. Decimals are quoted strings ("%.3f"), the
  * repo-wide integer-JSON convention. */
 std::string timeSeriesJson(const TimeSeries &series, uint64_t since);
-
-struct TimeSeriesSamplerOptions {
-    uint64_t intervalMs = 1000;
-    /** Registry to sample; null = the process global. */
-    MetricsRegistry *registry = nullptr;
-    /**
-     * Optional fold step run on a scratch copy of the registry before
-     * deriving the sample — the fleet coordinator injects worker
-     * metric dumps and the fleet-wide findings count here, so the
-     * series covers the whole fleet, not just the coordinator.
-     */
-    std::function<void(MetricsRegistry &)> augment;
-    /** Wall-clock source in ms; injectable for tests. */
-    std::function<uint64_t()> clock;
-    /** Called with each published sample (throughput monitor hook). */
-    std::function<void(const TimeSample &)> onSample;
-};
-
-/**
- * Periodic sampler thread deriving TimeSamples from a MetricsRegistry
- * and appending them to a TimeSeries. Thread lifecycle mirrors
- * report::SnapshotWriter; sampleOnce() is the synchronous test hook.
- */
-class TimeSeriesSampler {
-public:
-    TimeSeriesSampler(TimeSeries &series,
-                      TimeSeriesSamplerOptions options);
-    ~TimeSeriesSampler(); ///< stops the sampler thread if running
-
-    TimeSeriesSampler(const TimeSeriesSampler &) = delete;
-    TimeSeriesSampler &operator=(const TimeSeriesSampler &) = delete;
-
-    /** Derive and publish one sample now. */
-    TimeSample sampleOnce();
-
-    /** Start the periodic sampler thread (idempotent). */
-    void start();
-    /** Stop the sampler thread (one final sample is taken). */
-    void stop();
-
-private:
-    void run();
-
-    TimeSeries &series_;
-    TimeSeriesSamplerOptions options_;
-    // Previous cumulative totals for the seeds/s derivative.
-    uint64_t lastSeeds_ = 0;
-    uint64_t lastWallMs_ = 0;
-    bool havePrevious_ = false;
-    std::thread sampler_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    bool stopRequested_ = false;
-    bool running_ = false;
-};
 
 } // namespace dce::support

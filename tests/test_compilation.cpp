@@ -4,18 +4,15 @@
  * survival equivalence, artifact laziness (a plain campaign never
  * pays for codegen), error-as-value semantics, the shared-Compiler
  * thread-safety regression (the old `mutable lastError_` data race),
- * and the byte-identity of campaign records and triage summaries
- * across the two SurvivalSource paths.
+ * and the byte-identity of campaign records across thread counts.
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 
 #include "compiler/compiler.hpp"
 #include "core/analysis.hpp"
 #include "core/campaign.hpp"
-#include "core/triage.hpp"
 #include "helpers.hpp"
 #include "ir/builder.hpp"
 #include "ir/lowering.hpp"
@@ -144,9 +141,16 @@ TEST_P(IrVsAsmEquivalence, SurvivingMarkersMatchAssemblyGrep)
 // 200 seeds x 2 compilers x 5 levels = 2000 IR-vs-asm comparisons.
 INSTANTIATE_TEST_SUITE_P(Seeds, IrVsAsmEquivalence,
                          ::testing::Range<uint64_t>(8000, 8200));
+// Campaigns and triage read survival from the IR only, so the
+// end-to-end seeds get the assembly-grep check too: the campaign seeds
+// of RecordsIdenticalAcrossThreads and a small triage corpus.
+INSTANTIATE_TEST_SUITE_P(CampaignSeeds, IrVsAsmEquivalence,
+                         ::testing::Range<uint64_t>(500, 524));
+INSTANTIATE_TEST_SUITE_P(TriageSeeds, IrVsAsmEquivalence,
+                         ::testing::Range<uint64_t>(200, 212));
 
 //===------------------------------------------------------------------===//
-// Campaign laziness + byte-identity across survival sources
+// Campaign laziness + byte-identity across thread counts
 //===------------------------------------------------------------------===//
 
 TEST(Compilation, PlainCampaignNeverMaterializesAssembly)
@@ -156,8 +160,8 @@ TEST(Compilation, PlainCampaignNeverMaterializesAssembly)
         {CompilerId::Beta, OptLevel::O3, SIZE_MAX},
     };
     // Campaign compilations attach no metrics observer, so emissions
-    // land on the process-global registry; a plain (Ir-source)
-    // campaign must not move it.
+    // land on the process-global registry; a campaign must not move
+    // it.
     support::Counter &emits =
         support::MetricsRegistry::global().counter("backend.emits");
     uint64_t before = emits.value();
@@ -168,80 +172,24 @@ TEST(Compilation, PlainCampaignNeverMaterializesAssembly)
     EXPECT_EQ(campaign.metrics.seedsDone, 16u);
     EXPECT_EQ(emits.value(), before)
         << "a plain campaign materialized assembly";
-
-    // The assembly-grep path really does emit — the counter moves.
-    options.survivalSource = core::SurvivalSource::Assembly;
-    core::runCampaign(1000, 4, builds, options);
-    EXPECT_GT(emits.value(), before);
 }
 
-TEST(Compilation, RecordsIdenticalAcrossSurvivalSourcesAndThreads)
+TEST(Compilation, RecordsIdenticalAcrossThreads)
 {
     std::vector<core::BuildSpec> builds = {
         {CompilerId::Alpha, OptLevel::O3, SIZE_MAX},
         {CompilerId::Beta, OptLevel::O3, SIZE_MAX},
     };
     std::vector<core::Campaign> runs;
-    for (core::SurvivalSource source :
-         {core::SurvivalSource::Ir, core::SurvivalSource::Assembly}) {
-        for (unsigned threads : {1u, 8u}) {
-            core::CampaignOptions options;
-            options.survivalSource = source;
-            options.threads = threads;
-            options.computePrimary = true;
-            options.collectRemarks = true;
-            runs.push_back(
-                core::runCampaign(500, 24, builds, options));
-        }
+    for (unsigned threads : {1u, 8u}) {
+        core::CampaignOptions options;
+        options.threads = threads;
+        options.computePrimary = true;
+        options.collectRemarks = true;
+        runs.push_back(core::runCampaign(500, 24, builds, options));
     }
-    for (size_t i = 1; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[0].programs, runs[i].programs)
-            << "records diverge between run 0 and run " << i;
-    }
-}
-
-/** Byte-exact rendering of a summary, for cross-path comparison. */
-std::string
-renderSummary(const core::TriageSummary &summary)
-{
-    std::ostringstream out;
-    for (const core::Report &report : summary.reports) {
-        out << report.finding.seed << ':' << report.finding.marker
-            << ':' << report.finding.missedBy.name() << ':'
-            << report.finding.reference.name() << '\n'
-            << report.signature << '\n'
-            << report.confirmed << report.duplicate << report.fixed
-            << ':' << report.reductionTests << '\n'
-            << report.reducedSource << '\n';
-    }
-    return out.str();
-}
-
-TEST(Compilation, TriageSummariesIdenticalAcrossSurvivalSources)
-{
-    std::vector<core::BuildSpec> builds = {
-        {CompilerId::Alpha, OptLevel::O3, SIZE_MAX},
-        {CompilerId::Beta, OptLevel::O3, SIZE_MAX},
-    };
-    core::CampaignOptions options;
-    options.computePrimary = true;
-    core::Campaign campaign = core::runCampaign(200, 12, builds,
-                                                options);
-    std::vector<core::Finding> findings = core::collectFindings(
-        campaign, builds[0], builds[1], /*max_findings=*/4);
-    if (findings.empty())
-        GTEST_SKIP() << "corpus produced no alpha-vs-beta findings";
-
-    core::TriageOptions ir_options;
-    ir_options.survivalSource = core::SurvivalSource::Ir;
-    core::TriageOptions asm_options;
-    asm_options.survivalSource = core::SurvivalSource::Assembly;
-    std::string from_ir =
-        renderSummary(core::triageFindings(findings, ir_options));
-    std::string from_asm =
-        renderSummary(core::triageFindings(findings, asm_options));
-    EXPECT_FALSE(from_ir.empty());
-    EXPECT_EQ(from_ir, from_asm);
+    EXPECT_EQ(runs[0].programs, runs[1].programs)
+        << "records diverge between 1 and 8 threads";
 }
 
 //===------------------------------------------------------------------===//

@@ -16,9 +16,9 @@
 #include "core/campaign.hpp"
 #include "core/triage.hpp"
 #include "corpus/checkpoint.hpp"
-#include "corpus/json.hpp"
 #include "corpus/serialize.hpp"
 #include "corpus/store.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 
 namespace fs = std::filesystem;
@@ -83,7 +83,7 @@ writeFile(const std::string &path, const std::string &content)
 
 TEST(Json, RoundTripsWriterOutput)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("name", "line1\nline\"2\"\\end\x01");
     writer.field("count", uint64_t(18446744073709551615ull));
@@ -100,19 +100,19 @@ TEST(Json, RoundTripsWriterOutput)
     writer.endObject();
 
     std::string error;
-    std::optional<JsonValue> doc =
-        JsonValue::parse(writer.str(), &error);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(writer.str(), &error);
     ASSERT_TRUE(doc) << error;
     EXPECT_EQ(doc->getString("name"), "line1\nline\"2\"\\end\x01");
     EXPECT_EQ(doc->getU64("count"), 18446744073709551615ull);
     EXPECT_EQ(doc->get("neg")->asI64(), -42);
     EXPECT_TRUE(doc->getBool("flag"));
-    const JsonValue *items = doc->get("items");
+    const support::JsonValue *items = doc->get("items");
     ASSERT_TRUE(items && items->isArray());
     ASSERT_EQ(items->items.size(), 3u);
     EXPECT_EQ(items->items[0].asU64(), 1u);
     EXPECT_EQ(items->items[1].getString("inner"), "x");
-    EXPECT_EQ(items->items[2].kind, JsonValue::Kind::Null);
+    EXPECT_EQ(items->items[2].kind, support::JsonValue::Kind::Null);
 }
 
 TEST(Json, ParserRejectsMalformedInput)
@@ -120,27 +120,27 @@ TEST(Json, ParserRejectsMalformedInput)
     for (const char *bad :
          {"", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "12x", "\"open",
           "{\"a\":1}trailing", "[01e]"}) {
-        EXPECT_FALSE(JsonValue::parse(bad)) << bad;
+        EXPECT_FALSE(support::JsonValue::parse(bad)) << bad;
     }
 }
 
 TEST(Json, SealedLinesDetectEveryBitFlip)
 {
-    JsonWriter writer;
+    support::JsonWriter writer;
     writer.beginObject();
     writer.field("t", "record");
     writer.field("seed", uint64_t(12345));
     writer.endObject();
-    std::string sealed = sealJsonLine(writer.take());
-    ASSERT_TRUE(unsealJsonLine(sealed));
+    std::string sealed = support::sealJsonLine(writer.take());
+    ASSERT_TRUE(support::unsealJsonLine(sealed));
 
     for (size_t i = 0; i < sealed.size(); ++i) {
         std::string damaged = sealed;
         damaged[i] = char(damaged[i] ^ 0x20);
-        EXPECT_FALSE(unsealJsonLine(damaged)) << "byte " << i;
+        EXPECT_FALSE(support::unsealJsonLine(damaged)) << "byte " << i;
     }
     EXPECT_FALSE(
-        unsealJsonLine(sealed.substr(0, sealed.size() - 3)));
+        support::unsealJsonLine(sealed.substr(0, sealed.size() - 3)));
 }
 
 //===------------------------------------------------------------------===//
@@ -185,7 +185,7 @@ TEST(Serialize, BuildSpecsAndPlansRoundTrip)
     plan.maxFindings = 9;
 
     std::string json = serializePlan(plan);
-    std::optional<JsonValue> doc = JsonValue::parse(json);
+    std::optional<support::JsonValue> doc = support::JsonValue::parse(json);
     ASSERT_TRUE(doc);
     std::optional<CampaignPlan> back = readPlan(*doc);
     ASSERT_TRUE(back);

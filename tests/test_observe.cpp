@@ -1,7 +1,8 @@
 /** @file Tests for the fleet-wide observability layer (DESIGN.md §17):
  * histogram percentile estimation and merge/absorb edge cases, the
- * lock-free time-series ring + sampler, EWMA throughput anomaly
- * detection (and its /readyz wiring), the /timeseries and /dashboard
+ * lock-free time-series ring, the liveness sampler's derivation and
+ * EWMA throughput detection (and its /readyz wiring), the /timeseries
+ * and /dashboard
  * endpoints, cross-process trace merging, and a traced fleet's
  * byte-identity with the single-process reference run. */
 #include <gtest/gtest.h>
@@ -16,14 +17,14 @@
 #include <unistd.h>
 
 #include "corpus/checkpoint.hpp"
-#include "corpus/json.hpp"
 #include "corpus/store.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/trace_merge.hpp"
-#include "report/anomaly.hpp"
 #include "report/event_log.hpp"
+#include "report/liveness.hpp"
 #include "report/report.hpp"
 #include "serve/ops_server.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/timeseries.hpp"
 #include "support/trace.hpp"
@@ -37,8 +38,6 @@ using support::Histogram;
 using support::MetricsRegistry;
 using support::TimeSample;
 using support::TimeSeries;
-using support::TimeSeriesSampler;
-using support::TimeSeriesSamplerOptions;
 
 /** Fresh scratch directory, removed on destruction. */
 class TempDir {
@@ -313,28 +312,28 @@ TEST(ObserveTimeSeries, JsonShapeAndQuotedDecimals)
     series.append(makeSample(60));
 
     std::string json = support::timeSeriesJson(series, 0);
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(json);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(json);
     ASSERT_TRUE(doc) << json;
     EXPECT_EQ(doc->getU64("capacity"), 8u);
     EXPECT_EQ(doc->getU64("next"), 2u);
-    const corpus::JsonValue *points = doc->get("points");
+    const support::JsonValue *points = doc->get("points");
     ASSERT_TRUE(points && points->isArray());
     ASSERT_EQ(points->items.size(), 2u);
-    const corpus::JsonValue &first = points->items[0];
+    const support::JsonValue &first = points->items[0];
     EXPECT_EQ(first.getU64("seq"), 0u);
     EXPECT_EQ(first.getU64("seeds"), 40u);
     // Decimals ride as quoted "%.3f" strings, the repo's JSON rule.
     EXPECT_EQ(first.getString("seeds_per_sec"), "20.000");
     EXPECT_EQ(first.getString("cache_hit_rate"), "0.250");
-    const corpus::JsonValue *stages = first.get("stage_p99_us");
+    const support::JsonValue *stages = first.get("stage_p99_us");
     ASSERT_TRUE(stages && stages->isObject());
     EXPECT_EQ(stages->getString("generate"), "1.000");
     EXPECT_EQ(stages->getString("primary"), "4.000");
 
     // since=1 returns only the newer point.
-    std::optional<corpus::JsonValue> tail =
-        corpus::JsonValue::parse(support::timeSeriesJson(series, 1));
+    std::optional<support::JsonValue> tail =
+        support::JsonValue::parse(support::timeSeriesJson(series, 1));
     ASSERT_TRUE(tail);
     EXPECT_EQ(tail->get("points")->items.size(), 1u);
 }
@@ -350,14 +349,11 @@ TEST(ObserveTimeSeries, SamplerDerivesRatesFromRegistry)
     registry.histogram("campaign.stage_us", "compile").observe(64);
     registry.histogram("serve.request_us").observe(256);
 
-    uint64_t fake_ms = 10'000;
-    TimeSeries series(16);
-    TimeSeriesSamplerOptions options;
-    options.registry = &registry;
-    options.clock = [&] { return fake_ms; };
-    TimeSeriesSampler sampler(series, options);
+    uint64_t fake_us = 10'000'000;
+    report::Liveness liveness(
+        {.registry = &registry, .clock = [&] { return fake_us; }});
 
-    TimeSample first = sampler.sampleOnce();
+    TimeSample first = liveness.sampleOnce();
     EXPECT_EQ(first.seeds, 100u);
     EXPECT_EQ(first.findings, 7u);
     EXPECT_DOUBLE_EQ(first.seedsPerSec, 0.0); // no previous sample
@@ -367,11 +363,11 @@ TEST(ObserveTimeSeries, SamplerDerivesRatesFromRegistry)
 
     // 50 more seeds over 2 seconds: 25 seeds/s.
     registry.counter("campaign.seeds").add(50);
-    fake_ms += 2000;
-    TimeSample second = sampler.sampleOnce();
+    fake_us += 2'000'000;
+    TimeSample second = liveness.sampleOnce();
     EXPECT_DOUBLE_EQ(second.seedsPerSec, 25.0);
-    ASSERT_EQ(series.next(), 2u);
-    std::vector<TimeSample> published = series.read(1);
+    ASSERT_EQ(liveness.series().next(), 2u);
+    std::vector<TimeSample> published = liveness.series().read(1);
     ASSERT_EQ(published.size(), 1u);
     EXPECT_EQ(published[0].seq, 1u);
     EXPECT_EQ(published[0].seeds, 150u);
@@ -385,16 +381,15 @@ TEST(ObserveTimeSeries, SamplerAugmentFoldsFleetState)
     MetricsRegistry registry;
     registry.counter("fleet.workers_spawned").add(3);
 
-    TimeSeries series(4);
-    TimeSeriesSamplerOptions options;
-    options.registry = &registry;
-    options.clock = [] { return uint64_t(5000); };
-    options.augment = [](MetricsRegistry &scratch) {
-        scratch.counter("campaign.seeds").add(42);
-        scratch.counter("campaign.progress", "findings").add(4);
-    };
-    TimeSeriesSampler sampler(series, options);
-    TimeSample sample = sampler.sampleOnce();
+    report::Liveness liveness(
+        {.registry = &registry,
+         .augment =
+             [](MetricsRegistry &scratch) {
+                 scratch.counter("campaign.seeds").add(42);
+                 scratch.counter("campaign.progress", "findings").add(4);
+             },
+         .health = false});
+    TimeSample sample = liveness.sampleOnce();
     EXPECT_EQ(sample.seeds, 42u);
     EXPECT_EQ(sample.findings, 4u);
     EXPECT_EQ(registry.counterValue("campaign.seeds"), 0u);
@@ -404,56 +399,50 @@ TEST(ObserveTimeSeries, SamplerAugmentFoldsFleetState)
 // Throughput anomaly detection
 //===------------------------------------------------------------------===//
 
+/** Advance the fake clock one second and sample @p per_second more
+ * seeds. */
+void
+sampleAtRate(report::Liveness &liveness, MetricsRegistry &registry,
+             uint64_t &fake_us, uint64_t per_second)
+{
+    fake_us += 1'000'000;
+    registry.counter("campaign.seeds").add(per_second);
+    liveness.sampleOnce();
+}
+
 TEST(ObserveThroughput, DegradeAndRecoverWithInjectedClock)
 {
     uint64_t fake_us = 0;
     MetricsRegistry registry;
     report::EventLog log(&registry);
-    report::ThroughputMonitorOptions options;
-    options.alpha = 0.5;
-    options.degradeRatio = 0.5;
-    options.recoverRatio = 0.8;
-    options.warmupSamples = 3;
-    options.events = &log;
-    options.registry = &registry;
-    options.clock = [&] { return fake_us; };
-    report::ThroughputMonitor monitor(options);
+    report::Liveness liveness({.registry = &registry,
+                               .events = &log,
+                               .clock = [&] { return fake_us; }});
+    liveness.sampleOnce(); // the first sample has no rate
 
-    // Warmup: 100 units/s, steady. No transitions may fire.
-    uint64_t units = 0;
-    for (int i = 0; i < 6; ++i) {
-        fake_us += 1'000'000;
-        units += 100;
-        EXPECT_FALSE(monitor.observe(units));
-    }
-    EXPECT_FALSE(monitor.degraded());
-    EXPECT_NEAR(monitor.baselineRate(), 100.0, 1e-9);
+    // Warmup and beyond: 100 seeds/s, steady. No transitions may fire.
+    for (uint64_t i = 0; i <= report::kWarmupSamples; ++i)
+        sampleAtRate(liveness, registry, fake_us, 100);
+    EXPECT_FALSE(liveness.degraded());
 
-    // Collapse to 10 units/s: below 0.5×baseline, the latch fires.
-    fake_us += 1'000'000;
-    units += 10;
-    EXPECT_TRUE(monitor.observe(units));
-    EXPECT_TRUE(monitor.degraded());
-    EXPECT_EQ(monitor.degradationsFired(), 1u);
+    // Collapse to 10 seeds/s: below 0.5 x baseline, the latch fires.
+    sampleAtRate(liveness, registry, fake_us, 10);
+    EXPECT_TRUE(liveness.degraded());
     EXPECT_EQ(registry.counterValue("report.throughput_degraded"), 1u);
 
-    // Still slow: no second fire (latched), baseline frozen at 100.
-    fake_us += 1'000'000;
-    units += 10;
-    EXPECT_FALSE(monitor.observe(units));
-    EXPECT_TRUE(monitor.degraded());
-    EXPECT_NEAR(monitor.baselineRate(), 100.0, 1e-9);
+    // Still slow: no second fire (latched).
+    sampleAtRate(liveness, registry, fake_us, 10);
+    EXPECT_TRUE(liveness.degraded());
+    EXPECT_EQ(registry.counterValue("report.throughput_degraded"), 1u);
 
-    // Back to 90 units/s ≥ 0.8×baseline: recovery fires.
-    fake_us += 1'000'000;
-    units += 90;
-    EXPECT_TRUE(monitor.observe(units));
-    EXPECT_FALSE(monitor.degraded());
+    // Back to 90 seeds/s >= 0.8 x baseline: recovery fires.
+    sampleAtRate(liveness, registry, fake_us, 90);
+    EXPECT_FALSE(liveness.degraded());
     EXPECT_EQ(registry.counterValue("report.throughput_recovered"),
               1u);
 
     // Both transitions are ops-phase events with disjoint minors from
-    // the watchdog's stall events.
+    // the stall events.
     std::vector<support::Event> events = log.sorted();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].type(), "throughput_degraded");
@@ -462,69 +451,40 @@ TEST(ObserveThroughput, DegradeAndRecoverWithInjectedClock)
     EXPECT_EQ(events[0].key().minor, 2u);
     EXPECT_EQ(events[1].key().minor, 3u);
     EXPECT_EQ(events[0].getNum("degradation"), 1u);
-}
-
-TEST(ObserveThroughput, MinBaselineRateKeepsIdleRunsArmed)
-{
-    uint64_t fake_us = 0;
-    report::ThroughputMonitorOptions options;
-    MetricsRegistry registry;
-    options.registry = &registry;
-    options.warmupSamples = 2;
-    options.minBaselineRate = 50.0;
-    options.clock = [&] { return fake_us; };
-    report::ThroughputMonitor monitor(options);
-
-    // A 10-units/s trickle never arms: dropping to zero is not an
-    // anomaly for a near-idle campaign.
-    uint64_t units = 0;
-    for (int i = 0; i < 5; ++i) {
-        fake_us += 1'000'000;
-        units += 10;
-        EXPECT_FALSE(monitor.observe(units));
-    }
-    fake_us += 1'000'000;
-    EXPECT_FALSE(monitor.observe(units)); // rate 0
-    EXPECT_FALSE(monitor.degraded());
+    EXPECT_EQ(*events[0].getStr("rate"), "10.000");
+    // The baseline stayed frozen at 100 while degraded: folding the
+    // second 10 seeds/s sample in would have dragged it to 73.
+    EXPECT_EQ(*events[0].getStr("baseline"), "100.000");
+    EXPECT_EQ(*events[1].getStr("baseline"), "100.000");
 }
 
 TEST(ObserveThroughput, ReadyzFollowsDegradeAndRecovery)
 {
     uint64_t fake_us = 0;
     MetricsRegistry registry;
-    report::ThroughputMonitorOptions monitor_options;
-    monitor_options.registry = &registry;
-    monitor_options.warmupSamples = 2;
-    monitor_options.clock = [&] { return fake_us; };
-    report::ThroughputMonitor monitor(monitor_options);
+    report::Liveness liveness(
+        {.registry = &registry, .clock = [&] { return fake_us; }});
 
     serve::OpsServerOptions options;
     options.metrics = &registry;
-    options.throughput = &monitor;
+    options.liveness = &liveness;
     serve::OpsServer ops(options);
     serve::HttpRequest request;
     request.path = "/readyz";
 
     EXPECT_EQ(ops.handle(request).status, 200);
 
-    uint64_t units = 0;
-    for (int i = 0; i < 4; ++i) {
-        fake_us += 1'000'000;
-        units += 100;
-        monitor.observe(units);
-    }
+    liveness.sampleOnce();
+    for (uint64_t i = 0; i <= report::kWarmupSamples; ++i)
+        sampleAtRate(liveness, registry, fake_us, 100);
     EXPECT_EQ(ops.handle(request).status, 200);
 
-    fake_us += 1'000'000;
-    units += 5; // collapse
-    monitor.observe(units);
+    sampleAtRate(liveness, registry, fake_us, 5); // collapse
     serve::HttpResponse degraded = ops.handle(request);
     EXPECT_EQ(degraded.status, 503);
     EXPECT_NE(degraded.body.find("throughput"), std::string::npos);
 
-    fake_us += 1'000'000;
-    units += 100; // recovery
-    monitor.observe(units);
+    sampleAtRate(liveness, registry, fake_us, 100); // recovery
     EXPECT_EQ(ops.handle(request).status, 200);
 }
 
@@ -534,22 +494,22 @@ TEST(ObserveThroughput, ReadyzFollowsDegradeAndRecovery)
 
 TEST(ObserveServe, TimeseriesEndpointPagesWithCursor)
 {
-    TimeSeries series(8);
-    series.append(makeSample(10));
-    series.append(makeSample(20));
-
     MetricsRegistry registry;
+    report::Liveness liveness({.registry = &registry, .health = false});
+    liveness.sampleOnce();
+    liveness.sampleOnce();
+
     serve::OpsServerOptions options;
     options.metrics = &registry;
-    options.timeseries = &series;
+    options.liveness = &liveness;
     serve::OpsServer ops(options);
 
     serve::HttpRequest request;
     request.path = "/timeseries";
     serve::HttpResponse response = ops.handle(request);
     ASSERT_EQ(response.status, 200);
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(response.body);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(response.body);
     ASSERT_TRUE(doc) << response.body;
     EXPECT_EQ(doc->getU64("next"), 2u);
     EXPECT_EQ(doc->get("points")->items.size(), 2u);
@@ -557,11 +517,11 @@ TEST(ObserveServe, TimeseriesEndpointPagesWithCursor)
     // Incremental fetch from the returned cursor: empty, then new
     // points only — the monotone-cursor contract the dashboard uses.
     request.query = "since=2";
-    doc = corpus::JsonValue::parse(ops.handle(request).body);
+    doc = support::JsonValue::parse(ops.handle(request).body);
     ASSERT_TRUE(doc);
     EXPECT_TRUE(doc->get("points")->items.empty());
-    series.append(makeSample(30));
-    doc = corpus::JsonValue::parse(ops.handle(request).body);
+    liveness.sampleOnce();
+    doc = support::JsonValue::parse(ops.handle(request).body);
     ASSERT_TRUE(doc);
     EXPECT_EQ(doc->getU64("next"), 3u);
     ASSERT_EQ(doc->get("points")->items.size(), 1u);
@@ -615,18 +575,18 @@ TEST(ObserveServe, ProgressCarriesLatencyPercentiles)
     request.path = "/progress";
     serve::HttpResponse response = ops.handle(request);
     ASSERT_EQ(response.status, 200);
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(response.body);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(response.body);
     ASSERT_TRUE(doc) << response.body;
-    const corpus::JsonValue *latency = doc->get("latency");
+    const support::JsonValue *latency = doc->get("latency");
     ASSERT_TRUE(latency && latency->isObject()) << response.body;
-    const corpus::JsonValue *stages = latency->get("stage_us");
+    const support::JsonValue *stages = latency->get("stage_us");
     ASSERT_TRUE(stages && stages->isObject());
-    const corpus::JsonValue *compile = stages->get("compile");
+    const support::JsonValue *compile = stages->get("compile");
     ASSERT_TRUE(compile && compile->isObject());
     EXPECT_EQ(compile->getU64("count"), 1u);
     EXPECT_EQ(compile->getString("p99"), "64.000");
-    const corpus::JsonValue *serve_us = latency->get("serve_request_us");
+    const support::JsonValue *serve_us = latency->get("serve_request_us");
     ASSERT_TRUE(serve_us && serve_us->isObject());
     EXPECT_EQ(serve_us->getU64("count"), 1u);
 }
@@ -709,20 +669,20 @@ TEST(ObserveTraceMerge, RemapsPidsDeterministically)
 
     std::optional<std::string> merged = fleet::readFile(out);
     ASSERT_TRUE(merged);
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(*merged);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(*merged);
     ASSERT_TRUE(doc) << *merged;
-    const corpus::JsonValue *events = doc->get("traceEvents");
+    const support::JsonValue *events = doc->get("traceEvents");
     ASSERT_TRUE(events && events->isArray());
 
     // Lexical filename order fixes the track mapping:
     // coordinator.trace.json -> merged pid 1, worker.1 -> pid 2.
     uint64_t coordinator_pid = 0, worker_pid = 0;
     bool coordinator_labeled = false, worker_labeled = false;
-    for (const corpus::JsonValue &event : events->items) {
+    for (const support::JsonValue &event : events->items) {
         if (event.getString("name") != "process_name")
             continue;
-        const corpus::JsonValue *args = event.get("args");
+        const support::JsonValue *args = event.get("args");
         ASSERT_TRUE(args);
         std::string label = args->getString("name");
         if (label.rfind("fleet-coordinator", 0) == 0) {
@@ -812,20 +772,37 @@ TEST(ObserveFleet, TracedFleetMergesTimelineAndStaysByteIdentical)
     std::optional<std::string> merged_trace =
         fleet::readFile(result->mergedTracePath);
     ASSERT_TRUE(merged_trace);
-    std::optional<corpus::JsonValue> trace_doc =
-        corpus::JsonValue::parse(*merged_trace);
+    std::optional<support::JsonValue> trace_doc =
+        support::JsonValue::parse(*merged_trace);
     ASSERT_TRUE(trace_doc);
     ASSERT_TRUE(trace_doc->get("traceEvents"));
     EXPECT_TRUE(
         fs::exists(fleet::coordinatorTracePath(fleet_dir.str())));
 
-    // Every worker ran a SnapshotWriter on the configured cadence.
+    // Every worker ran its liveness JSONL sink on the configured
+    // cadence: each line parses and seq strictly increases.
     bool worker_snapshots = false;
     for (const fs::directory_entry &entry :
-         fs::directory_iterator(fleet_dir.str()))
-        if (entry.is_directory() &&
-            fs::exists(entry.path() / "metrics.jsonl"))
-            worker_snapshots = true;
+         fs::directory_iterator(fleet_dir.str())) {
+        fs::path jsonl = entry.path() / "metrics.jsonl";
+        if (!entry.is_directory() || !fs::exists(jsonl))
+            continue;
+        worker_snapshots = true;
+        std::optional<std::string> text = fleet::readFile(jsonl.string());
+        ASSERT_TRUE(text && !text->empty());
+        size_t begin = 0;
+        uint64_t lines = 0;
+        while (begin < text->size()) {
+            size_t end = text->find('\n', begin);
+            ASSERT_NE(end, std::string::npos) << "unterminated line";
+            std::optional<support::JsonValue> line =
+                support::JsonValue::parse(
+                    text->substr(begin, end - begin));
+            ASSERT_TRUE(line) << jsonl;
+            EXPECT_EQ(line->getU64("seq", ~uint64_t{0}), lines++);
+            begin = end + 1;
+        }
+    }
     EXPECT_TRUE(worker_snapshots);
 
     // Observability must not perturb the determinism boundary: the

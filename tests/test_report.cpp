@@ -1,27 +1,29 @@
 /** @file Tests for the report subsystem (DESIGN.md §12): structured
  * event log determinism, JSON escaping shared with the tracer,
- * Prometheus exposition stability, metrics snapshots, provenance
- * dossiers, the campaign report generator's kill/resume byte-identity,
- * and the stall watchdog's single-fire semantics. */
+ * Prometheus exposition stability, provenance dossiers, the campaign
+ * report generator's kill/resume byte-identity, and the liveness
+ * pipeline's JSONL snapshots, single-fire stall detection and
+ * shutdown order. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "corpus/checkpoint.hpp"
-#include "corpus/json.hpp"
 #include "corpus/store.hpp"
 #include "report/dossier.hpp"
 #include "report/event_log.hpp"
+#include "report/liveness.hpp"
 #include "report/report.hpp"
-#include "report/snapshot.hpp"
-#include "report/watchdog.hpp"
+#include "serve/ops_server.hpp"
 #include "support/json.hpp"
 
 namespace fs = std::filesystem;
@@ -136,7 +138,7 @@ TEST(ReportEventLog, SerializesTypedEventsInKeyOrder)
     // Every line parses with the corpus JSON parser.
     for (const std::string &line : lines) {
         std::string error;
-        EXPECT_TRUE(corpus::JsonValue::parse(line, &error)) << error;
+        EXPECT_TRUE(support::JsonValue::parse(line, &error)) << error;
     }
 }
 
@@ -216,8 +218,8 @@ TEST(ReportEscaping, ControlTabNewlineAndNonAsciiSurvive)
     std::string json = "{\"v\":\"" + support::jsonEscaped(nasty) +
                        "\"}";
     std::string error;
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(json, &error);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(json, &error);
     ASSERT_TRUE(doc) << error << " in " << json;
     EXPECT_EQ(doc->getString("v"), nasty);
 
@@ -227,7 +229,7 @@ TEST(ReportEscaping, ControlTabNewlineAndNonAsciiSurvive)
     event.str("payload", nasty);
     std::string line;
     event.appendJson(line);
-    doc = corpus::JsonValue::parse(line, &error);
+    doc = support::JsonValue::parse(line, &error);
     ASSERT_TRUE(doc) << error << " in " << line;
     EXPECT_EQ(doc->getString("payload"), nasty);
 }
@@ -330,8 +332,24 @@ TEST(ReportExposition, HistogramBucketsAreCumulative)
 }
 
 //===------------------------------------------------------------------===//
-// Snapshots
+// Liveness: JSONL snapshots, stall detection, shutdown
 //===------------------------------------------------------------------===//
+
+/** The lines of a text file, newline-terminated each. */
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    size_t begin = 0;
+    while (begin < text.size()) {
+        size_t end = text.find('\n', begin);
+        if (end == std::string::npos)
+            end = text.size();
+        lines.push_back(text.substr(begin, end - begin));
+        begin = end + 1;
+    }
+    return lines;
+}
 
 TEST(ReportSnapshot, AppendsParseableRegistrySamples)
 {
@@ -343,107 +361,226 @@ TEST(ReportSnapshot, AppendsParseableRegistrySamples)
     registry.counter("campaign.seeds").add(5);
     registry.histogram("campaign.stage_us", "generate").observe(11);
 
-    SnapshotWriter writer({.path = path, .registry = &registry});
-    ASSERT_TRUE(writer.snapshot());
+    // An hour-long cadence: the thread never ticks on its own, so the
+    // file holds exactly the two explicit samples plus stop()'s final.
+    Liveness liveness({.intervalMs = 3'600'000,
+                       .registry = &registry,
+                       .jsonlPath = path,
+                       .health = false});
+    liveness.start();
+    liveness.sampleOnce();
     registry.counter("campaign.seeds").add(3);
-    ASSERT_TRUE(writer.snapshot());
-    EXPECT_EQ(writer.snapshotsTaken(), 2u);
+    liveness.sampleOnce();
+    registry.counter("campaign.seeds").add(1);
+    liveness.stop();
 
     std::string text = readFile(path);
-    std::vector<std::string> lines;
-    size_t begin = 0;
-    while (begin < text.size()) {
-        size_t end = text.find('\n', begin);
-        ASSERT_NE(end, std::string::npos);
-        lines.push_back(text.substr(begin, end - begin));
-        begin = end + 1;
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(text.back(), '\n');
+    EXPECT_EQ(text.rfind("{\"seq\":0,\"wall_ms\":", 0), 0u);
+    std::vector<std::string> lines = splitLines(text);
+    ASSERT_EQ(lines.size(), 3u);
+    const uint64_t seeds[] = {5, 8, 9};
+    for (size_t i = 0; i < lines.size(); ++i) {
+        std::string error;
+        std::optional<support::JsonValue> line =
+            support::JsonValue::parse(lines[i], &error);
+        ASSERT_TRUE(line) << error;
+        EXPECT_EQ(line->getU64("seq", ~uint64_t{0}), i);
+        EXPECT_GT(line->getU64("wall_ms"), 0u);
+        EXPECT_EQ(line->get("counters")->getU64("campaign.seeds"),
+                  seeds[i]);
+        const support::JsonValue *generate =
+            line->get("histograms")->get("campaign.stage_us{generate}");
+        ASSERT_TRUE(generate);
+        EXPECT_EQ(generate->getU64("count"), 1u);
+        EXPECT_EQ(generate->getU64("sum"), 11u);
     }
-    ASSERT_EQ(lines.size(), 2u);
-    std::string error;
-    std::optional<corpus::JsonValue> first =
-        corpus::JsonValue::parse(lines[0], &error);
-    ASSERT_TRUE(first) << error;
-    EXPECT_EQ(first->getU64("seq"), 0u);
-    EXPECT_EQ(first->get("counters")->getU64("campaign.seeds"), 5u);
-    std::optional<corpus::JsonValue> second =
-        corpus::JsonValue::parse(lines[1], &error);
-    ASSERT_TRUE(second) << error;
-    EXPECT_EQ(second->getU64("seq"), 1u);
-    EXPECT_EQ(second->get("counters")->getU64("campaign.seeds"), 8u);
 }
-
-//===------------------------------------------------------------------===//
-// Watchdog
-//===------------------------------------------------------------------===//
 
 TEST(ReportWatchdog, FiresOnceThenRearmsOnProgress)
 {
-    uint64_t fake_now = 0;
-    std::vector<std::string> dumps;
+    uint64_t fake_us = 0;
     support::MetricsRegistry registry;
     EventLog log(&registry);
+    Liveness liveness({.registry = &registry,
+                       .events = &log,
+                       .clock = [&] { return fake_us; }});
 
-    WatchdogOptions options;
-    options.stallThresholdUs = 1000;
-    options.events = &log;
-    options.registry = &registry;
-    options.onStall = [&](const std::string &dump) {
-        dumps.push_back(dump);
-    };
-    options.clock = [&] { return fake_now; };
-    Watchdog watchdog(options);
-
-    unsigned inner_calls = 0;
-    core::CampaignObserver observer = watchdog.wrap(
-        [&](const core::CampaignProgress &) { ++inner_calls; });
-
-    core::CampaignProgress progress;
-    progress.seedsDone = 3;
-    progress.seedsTotal = 18;
-    observer(progress);
-    EXPECT_EQ(inner_calls, 1u);
+    registry.counter("campaign.seeds").add(3);
+    liveness.sampleOnce(); // the seed count moved at t=0
 
     // Under the threshold: quiet.
-    fake_now = 500;
-    EXPECT_FALSE(watchdog.poll());
-    EXPECT_EQ(watchdog.stallsFired(), 0u);
+    fake_us = kStallUs / 2;
+    liveness.sampleOnce();
+    EXPECT_FALSE(liveness.stalled());
 
-    // Over the threshold: exactly one fire, however often polled.
-    fake_now = 2000;
-    EXPECT_TRUE(watchdog.poll());
-    EXPECT_FALSE(watchdog.poll());
-    EXPECT_FALSE(watchdog.poll());
-    EXPECT_EQ(watchdog.stallsFired(), 1u);
-    EXPECT_TRUE(watchdog.stalled());
-    ASSERT_EQ(dumps.size(), 1u);
-    EXPECT_NE(dumps[0].find("no progress"), std::string::npos);
-    EXPECT_NE(dumps[0].find("3/18"), std::string::npos);
+    // At the threshold: exactly one fire, however often sampled, and
+    // the diagnostic dump goes to stderr.
+    fake_us = kStallUs;
+    testing::internal::CaptureStderr();
+    liveness.sampleOnce();
+    fake_us += 1'000'000;
+    liveness.sampleOnce();
+    liveness.sampleOnce();
+    std::string dump = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(liveness.stalled());
     EXPECT_EQ(registry.counterValue("report.stalls"), 1u);
+    EXPECT_NE(dump.find("no progress for 60000 ms at 3 seeds"),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("counter campaign.seeds 3"), std::string::npos);
 
     // The stall event is segregated into the ops phase.
     std::vector<support::Event> events = log.sorted();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].type(), "watchdog_stall");
     EXPECT_EQ(events[0].key().phase, support::kPhaseOps);
+    EXPECT_EQ(events[0].key().minor, 0u);
     EXPECT_EQ(events[0].getNum("seeds_done"), 3u);
+    EXPECT_EQ(events[0].getNum("silent_us"), kStallUs);
 
     // Progress clears the latch — and logs the stalled→ready
     // transition as watchdog_recovered, bookending the stall.
-    progress.seedsDone = 4;
-    observer(progress);
-    EXPECT_FALSE(watchdog.stalled());
+    registry.counter("campaign.seeds").add(1);
+    liveness.sampleOnce();
+    EXPECT_FALSE(liveness.stalled());
     events = log.sorted();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[1].type(), "watchdog_recovered");
     EXPECT_EQ(events[1].key().phase, support::kPhaseOps);
+    EXPECT_EQ(events[1].key().minor, 1u);
     EXPECT_EQ(events[1].getNum("stall"), 1u);
     EXPECT_EQ(events[1].getNum("seeds_done"), 4u);
 
-    EXPECT_FALSE(watchdog.poll()); // just progressed at t=2000
-    fake_now = 4000;
-    EXPECT_TRUE(watchdog.poll());
-    EXPECT_EQ(watchdog.stallsFired(), 2u);
+    // Re-armed: another silence of the threshold fires again.
+    fake_us += kStallUs - 1;
+    liveness.sampleOnce();
+    EXPECT_FALSE(liveness.stalled());
+    fake_us += 1;
+    testing::internal::CaptureStderr();
+    liveness.sampleOnce();
+    testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(liveness.stalled());
+    EXPECT_EQ(registry.counterValue("report.stalls"), 2u);
     EXPECT_EQ(log.size(), 3u); // stall, recovered, stall
+}
+
+TEST(ReportLiveness, StallReadsTheAugmentedSeedCount)
+{
+    // The fleet coordinator's stall condition: its own registry never
+    // sees campaign.seeds, the augment fold supplies the fleet-wide
+    // count, and the detector watches that.
+    uint64_t fake_us = 0;
+    uint64_t fleet_seeds = 10;
+    support::MetricsRegistry registry;
+    Liveness liveness(
+        {.registry = &registry,
+         .augment =
+             [&](support::MetricsRegistry &scratch) {
+                 scratch.counter("campaign.seeds").add(fleet_seeds);
+             },
+         .clock = [&] { return fake_us; }});
+    liveness.sampleOnce();
+    fake_us = kStallUs - 1;
+    fleet_seeds = 20;
+    liveness.sampleOnce();
+    fake_us += kStallUs - 1;
+    liveness.sampleOnce();
+    EXPECT_FALSE(liveness.stalled());
+    fake_us += 1;
+    testing::internal::CaptureStderr();
+    liveness.sampleOnce();
+    testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(liveness.stalled());
+    EXPECT_EQ(registry.counterValue("report.stalls"), 1u);
+}
+
+TEST(ReportLiveness, StopDetachesHealthBeforeTheFinalSample)
+{
+    // A finished campaign's rate collapses to zero; the final sample
+    // stop() takes must not read that as a degradation, so a server
+    // held open afterwards keeps answering /readyz with 200.
+    uint64_t fake_us = 0;
+    support::MetricsRegistry registry;
+    EventLog log(&registry);
+    Liveness liveness({.intervalMs = 3'600'000,
+                       .registry = &registry,
+                       .events = &log,
+                       .clock = [&] { return fake_us; }});
+    liveness.start();
+    for (uint64_t i = 0; i <= kWarmupSamples + 1; ++i) {
+        fake_us += 1'000'000;
+        registry.counter("campaign.seeds").add(100);
+        liveness.sampleOnce();
+    }
+
+    fake_us += 1'000'000; // no new seeds: a zero rate
+    liveness.stop();
+    EXPECT_EQ(liveness.series().next(), kWarmupSamples + 3);
+    EXPECT_DOUBLE_EQ(liveness.series().read(0).back().seedsPerSec, 0.0);
+    EXPECT_FALSE(liveness.degraded());
+    EXPECT_EQ(registry.counterValue("report.throughput_degraded"), 0u);
+    EXPECT_EQ(log.size(), 0u);
+
+    serve::OpsServerOptions options;
+    options.metrics = &registry;
+    options.liveness = &liveness;
+    serve::OpsServer ops(options);
+    serve::HttpRequest request;
+    request.path = "/readyz";
+    EXPECT_EQ(ops.handle(request).status, 200);
+}
+
+TEST(ReportLiveness, SamplerThreadTicksUntilStop)
+{
+    // The real thread: 1 ms ticks publish to the ring while this
+    // thread bumps the registry and polls the ring and the health
+    // flags, as the ops server's handlers do. stop() joins the thread
+    // and takes the final sample; nothing ticks after it.
+    support::MetricsRegistry registry;
+    Liveness liveness({.intervalMs = 1, .registry = &registry});
+    liveness.start();
+    size_t seen = 0;
+    for (int i = 0; i < 2000 && seen < 5; ++i) {
+        registry.counter("campaign.seeds").add();
+        seen = liveness.series().read(0).size();
+        EXPECT_FALSE(liveness.stalled());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(seen, 5u);
+    liveness.stop();
+    std::vector<support::TimeSample> samples = liveness.series().read(0);
+    ASSERT_FALSE(samples.empty());
+    EXPECT_EQ(samples.back().seeds,
+              registry.counterValue("campaign.seeds"));
+    uint64_t after_stop = liveness.series().next();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(liveness.series().next(), after_stop);
+}
+
+TEST(ReportLiveness, StopClearsALatchedCondition)
+{
+    // Degraded at the end of the run (a slow tail): once the campaign
+    // is over, /readyz must not keep reporting it.
+    uint64_t fake_us = 0;
+    support::MetricsRegistry registry;
+    Liveness liveness({.intervalMs = 3'600'000,
+                       .registry = &registry,
+                       .clock = [&] { return fake_us; }});
+    liveness.start();
+    for (uint64_t i = 0; i <= kWarmupSamples + 1; ++i) {
+        fake_us += 1'000'000;
+        registry.counter("campaign.seeds").add(100);
+        liveness.sampleOnce();
+    }
+    fake_us += 1'000'000;
+    registry.counter("campaign.seeds").add(1);
+    liveness.sampleOnce();
+    ASSERT_TRUE(liveness.degraded());
+    liveness.stop();
+    EXPECT_FALSE(liveness.degraded());
+    EXPECT_FALSE(liveness.stalled());
 }
 
 //===------------------------------------------------------------------===//
@@ -514,8 +651,8 @@ TEST(ReportDossier, AssemblesFullLineage)
     // Both renderings carry the lineage and stay parseable/readable.
     std::string json = dossierJson(*dossier);
     std::string parse_error;
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(json, &parse_error);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(json, &parse_error);
     ASSERT_TRUE(doc) << parse_error;
     EXPECT_EQ(doc->getString("fingerprint"), fingerprint);
     EXPECT_EQ(doc->getU64("seed"), finding.seed);

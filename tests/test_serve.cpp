@@ -23,14 +23,14 @@
 #include <unistd.h>
 
 #include "corpus/checkpoint.hpp"
-#include "corpus/json.hpp"
 #include "corpus/store.hpp"
 #include "report/dossier.hpp"
 #include "report/event_log.hpp"
+#include "report/liveness.hpp"
 #include "report/report.hpp"
-#include "report/watchdog.hpp"
 #include "serve/http.hpp"
 #include "serve/ops_server.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 
 namespace fs = std::filesystem;
@@ -382,8 +382,8 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
     request.path = "/progress";
     HttpResponse response = ops.handle(request);
     ASSERT_EQ(response.status, 200);
-    std::optional<corpus::JsonValue> progress =
-        corpus::JsonValue::parse(response.body);
+    std::optional<support::JsonValue> progress =
+        support::JsonValue::parse(response.body);
     ASSERT_TRUE(progress);
 
     // The board and the campaign.progress gauges are published at the
@@ -426,7 +426,7 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
                                             "seeds_committed"),
               18u);
     response = ops.handle(request);
-    progress = corpus::JsonValue::parse(response.body);
+    progress = support::JsonValue::parse(response.body);
     ASSERT_TRUE(progress);
     EXPECT_TRUE(progress->getBool("complete"));
     EXPECT_EQ(progress->getU64("completed_chunks"), 6u);
@@ -434,36 +434,38 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
 
 TEST(ServeOps, ReadyzFollowsWatchdogStallAndRecovery)
 {
-    uint64_t fake_now = 0;
+    uint64_t fake_us = 0;
     support::MetricsRegistry registry;
     report::EventLog log(&registry);
-    report::WatchdogOptions watchdog_options;
-    watchdog_options.stallThresholdUs = 1000;
-    watchdog_options.events = &log;
-    watchdog_options.registry = &registry;
-    watchdog_options.clock = [&] { return fake_now; };
-    report::Watchdog watchdog(watchdog_options);
-    core::CampaignObserver observer = watchdog.wrap({});
+    report::Liveness liveness({.registry = &registry,
+                               .events = &log,
+                               .clock = [&] { return fake_us; }});
 
     OpsServerOptions options;
     options.metrics = &registry;
-    options.watchdog = &watchdog;
+    options.liveness = &liveness;
     OpsServer ops(options);
     HttpRequest request;
     request.path = "/readyz";
 
     EXPECT_EQ(ops.handle(request).status, 200);
 
-    // Stall: the latch fires and /readyz flips to 503.
-    fake_now = 2000;
-    EXPECT_TRUE(watchdog.poll());
-    EXPECT_EQ(ops.handle(request).status, 503);
+    // Stall: no seed for the threshold latches it, /readyz flips to
+    // 503, and further silent samples do not fire again.
+    fake_us = report::kStallUs;
+    testing::internal::CaptureStderr();
+    liveness.sampleOnce();
+    fake_us += 1'000'000;
+    liveness.sampleOnce();
+    testing::internal::GetCapturedStderr();
+    HttpResponse stalled = ops.handle(request);
+    EXPECT_EQ(stalled.status, 503);
+    EXPECT_EQ(stalled.body, "stalled: watchdog fired, no recent progress\n");
+    EXPECT_EQ(registry.counterValue("report.stalls"), 1u);
 
-    // Progress re-arms the watchdog and /readyz recovers to 200.
-    core::CampaignProgress progress;
-    progress.seedsDone = 5;
-    progress.seedsTotal = 10;
-    observer(progress);
+    // Progress re-arms the detector and /readyz recovers to 200.
+    registry.counter("campaign.seeds").add(5);
+    liveness.sampleOnce();
     EXPECT_EQ(ops.handle(request).status, 200);
 
     // Both transitions are on the record, in the ops phase.
@@ -554,11 +556,11 @@ TEST(ServeOps, DossierAndEventsEndpoints)
 
     HttpResponse index = served.get("/dossiers");
     ASSERT_EQ(index.status, 200);
-    std::optional<corpus::JsonValue> parsed =
-        corpus::JsonValue::parse(index.body);
+    std::optional<support::JsonValue> parsed =
+        support::JsonValue::parse(index.body);
     ASSERT_TRUE(parsed);
     EXPECT_EQ(parsed->getU64("findings"), served.findings);
-    const corpus::JsonValue *dossiers = parsed->get("dossiers");
+    const support::JsonValue *dossiers = parsed->get("dossiers");
     ASSERT_TRUE(dossiers && dossiers->isArray());
     ASSERT_EQ(dossiers->items.size(), served.findings);
 
@@ -593,21 +595,21 @@ TEST(ServeOps, DossierAndEventsEndpoints)
     ASSERT_GT(total, 0u);
     HttpResponse events = served.get("/events", "since=0&limit=5");
     ASSERT_EQ(events.status, 200);
-    std::optional<corpus::JsonValue> page =
-        corpus::JsonValue::parse(events.body);
+    std::optional<support::JsonValue> page =
+        support::JsonValue::parse(events.body);
     ASSERT_TRUE(page);
     EXPECT_EQ(page->getU64("total"), total);
     EXPECT_EQ(page->getU64("next"), 5u);
-    const corpus::JsonValue *items = page->get("events");
+    const support::JsonValue *items = page->get("events");
     ASSERT_TRUE(items && items->isArray());
     EXPECT_EQ(items->items.size(), 5u);
 
     // Resume from the cursor: pages chain without gaps.
     HttpResponse rest = served.get("/events", "since=5");
-    std::optional<corpus::JsonValue> rest_page =
-        corpus::JsonValue::parse(rest.body);
+    std::optional<support::JsonValue> rest_page =
+        support::JsonValue::parse(rest.body);
     ASSERT_TRUE(rest_page);
-    const corpus::JsonValue *rest_items = rest_page->get("events");
+    const support::JsonValue *rest_items = rest_page->get("events");
     ASSERT_TRUE(rest_items && rest_items->isArray());
     EXPECT_EQ(rest_items->items.size(),
               std::min<size_t>(total - 5, 256));
@@ -617,8 +619,8 @@ TEST(ServeOps, DossierAndEventsEndpoints)
     // A cursor at (or past) the end is an empty page, not an error.
     HttpResponse beyond = served.get(
         "/events", "since=" + std::to_string(total + 10));
-    std::optional<corpus::JsonValue> beyond_page =
-        corpus::JsonValue::parse(beyond.body);
+    std::optional<support::JsonValue> beyond_page =
+        support::JsonValue::parse(beyond.body);
     ASSERT_TRUE(beyond_page);
     EXPECT_TRUE(beyond_page->get("events")->items.empty());
 
@@ -773,8 +775,8 @@ TEST(ServeOps, FleetModeAggregatesProgressMetricsAndFleet)
     request.path = "/progress";
     HttpResponse progress = ops.handle(request);
     ASSERT_EQ(progress.status, 200);
-    std::optional<corpus::JsonValue> doc =
-        corpus::JsonValue::parse(progress.body);
+    std::optional<support::JsonValue> doc =
+        support::JsonValue::parse(progress.body);
     ASSERT_TRUE(doc);
     EXPECT_EQ(doc->getU64("seeds_total"), 40u);
     EXPECT_EQ(doc->getU64("seeds_committed"), 10u);
