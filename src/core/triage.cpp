@@ -1,5 +1,6 @@
 #include "core/triage.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "instrument/instrument.hpp"
@@ -186,6 +187,7 @@ struct ReducedFinding {
     reduce::ReduceResult reduction;
     std::string signature;
     bool fixed = false;
+    bool fresh = false; ///< reduced in this batch, not a cached verdict
 };
 
 /** A finding replayed a verdict instead of reducing: @p via is "store"
@@ -236,7 +238,23 @@ triageFindings(const std::vector<Finding> &findings,
         options.metrics ? options.metrics
                         : &support::MetricsRegistry::global();
 
-    // Stage 0 — when a verdict cache is attached, key every finding
+    support::ThreadPool pool(resolveThreads(options.threads));
+
+    // Stage 0a — every finding's program text, once, in parallel (each
+    // is pure in its finding and writes its own slot).
+    std::vector<std::string> sources(findings.size());
+    pool.forChunks(findings.size(), 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            sources[i] = options.sourceFor
+                             ? options.sourceFor(findings[i], i)
+                             : lang::printUnit(*makeProgram(
+                                                    findings[i].seed,
+                                                    options.generator)
+                                                    .unit);
+        }
+    });
+
+    // Stage 0b — when a verdict cache is attached, key every finding
     // (canonical program text hash + marker set + build pair) and
     // group same-key findings: only each group's leader reduces, the
     // followers replay its verdict. Serial, so leader choice — and
@@ -244,7 +262,6 @@ triageFindings(const std::vector<Finding> &findings,
     // event sink also forces keying (events carry the fingerprint)
     // but never enables the batch dedup by itself.
     const bool keyed = options.verdictCache || options.events;
-    std::vector<std::string> sources(findings.size());
     std::vector<VerdictKey> keys(keyed ? findings.size() : 0);
     std::vector<size_t> leaderOf(findings.size());
     for (size_t i = 0; i < findings.size(); ++i)
@@ -253,12 +270,6 @@ triageFindings(const std::vector<Finding> &findings,
         std::map<std::string, size_t> first_with_key;
         for (size_t i = 0; i < findings.size(); ++i) {
             const Finding &finding = findings[i];
-            sources[i] =
-                options.sourceFor
-                    ? options.sourceFor(finding, i)
-                    : lang::printUnit(
-                          *makeProgram(finding.seed, options.generator)
-                               .unit);
             keys[i].programHash = support::fnv1a64Hex(sources[i]);
             keys[i].markers = {finding.marker};
             keys[i].missedBy = finding.missedBy.name();
@@ -277,14 +288,25 @@ triageFindings(const std::vector<Finding> &findings,
     // Stage 1 — reduce + signature every leader finding, concurrently.
     // Each finding is pure in (finding, options), writes its own slot,
     // and the per-finding reduction itself is deterministic regardless
-    // of reduceWorkers, so the stage commutes with any schedule.
+    // of reduceWorkers, so the stage commutes with any schedule. The
+    // pool draws leaders longest source first (ties by index): a
+    // finding's reduction time grows with its text, so the longest
+    // ones start early instead of leaving threads idle at the tail.
+    std::vector<size_t> order;
+    for (size_t i = 0; i < findings.size(); ++i) {
+        if (leaderOf[i] == i)
+            order.push_back(i); // followers are replayed after the barrier
+    }
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        if (sources[a].size() != sources[b].size())
+            return sources[a].size() > sources[b].size();
+        return a < b;
+    });
     std::vector<ReducedFinding> slots(findings.size());
-    support::ThreadPool pool(resolveThreads(options.threads));
     pool.forChunks(
-        findings.size(), 1, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                if (leaderOf[i] != i)
-                    continue; // follower: replayed after the barrier
+        order.size(), 1, [&](size_t begin, size_t end) {
+            for (size_t k = begin; k < end; ++k) {
+                const size_t i = order[k];
                 const Finding &finding = findings[i];
                 if (options.verdictCache) {
                     if (std::optional<CachedVerdict> cached =
@@ -303,15 +325,6 @@ triageFindings(const std::vector<Finding> &findings,
                         continue;
                     }
                 }
-                std::string source =
-                    keyed ? sources[i]
-                    : options.sourceFor
-                        ? options.sourceFor(finding, i)
-                        : lang::printUnit(*makeProgram(
-                                               finding.seed,
-                                               options.generator)
-                                               .unit);
-
                 InterestingnessTest interesting(
                     finding.marker, finding.missedBy,
                     finding.reference, registry);
@@ -324,18 +337,13 @@ triageFindings(const std::vector<Finding> &findings,
                     span.setArg("seed", finding.seed);
                     slots[i].reduction =
                         reduce::ParallelReducer(reduce_options)
-                            .reduce(source, interesting);
+                            .reduce(sources[i], interesting);
                 }
                 support::TraceSpan span("signature", "triage");
                 span.setArg("seed", finding.seed);
                 slots[i].signature = signatureOf(
                     slots[i].reduction.source, finding, slots[i].fixed);
-                if (options.verdictCache) {
-                    options.verdictCache->store(
-                        keys[i],
-                        {slots[i].reduction.source, slots[i].signature,
-                         slots[i].fixed, slots[i].reduction.testsRun});
-                }
+                slots[i].fresh = true;
                 if (options.events) {
                     support::Event done(
                         "reduction_finished",
@@ -355,10 +363,16 @@ triageFindings(const std::vector<Finding> &findings,
             }
         });
 
-    // Replay leader verdicts into follower slots (testsRun included,
-    // so warm and cold summaries are byte-identical).
+    // Store fresh verdicts and replay leader verdicts into follower
+    // slots (testsRun included, so warm and cold summaries are
+    // byte-identical), in findings order: a store behind the cache
+    // sees the same sequence for every thread count and hand-out order.
     for (size_t i = 0; i < findings.size(); ++i) {
-        if (leaderOf[i] != i) {
+        if (leaderOf[i] == i && slots[i].fresh && options.verdictCache) {
+            options.verdictCache->store(
+                keys[i], {slots[i].reduction.source, slots[i].signature,
+                          slots[i].fixed, slots[i].reduction.testsRun});
+        } else if (leaderOf[i] != i) {
             slots[i] = slots[leaderOf[i]];
             emitVerdictCached(options.events, i, findings[i], keys[i],
                               "batch");

@@ -258,8 +258,8 @@ struct TriageOptions {
      * deterministic regeneration makeProgram(finding.seed, generator).
      * The metamorphic pipeline sets this — its findings live in
      * *derived variants* whose text no seed regenerates (src/equiv).
-     * Must be pure: called once per finding, from the serial keying
-     * stage or the parallel reduce stage.
+     * Must be pure and thread-safe: called once per finding, from a
+     * parallel pre-pass before keying and reduction.
      */
     std::function<std::string(const Finding &finding, size_t index)>
         sourceFor;
@@ -270,7 +270,8 @@ struct TriageOptions {
      * verdict — `reduce.tests` drops, the summary does not change, and
      * no finding disappears from it. Hits land in
      * `reduce.verdict_cache_hits`, within-batch reuse in
-     * `reduce.findings_deduped`.
+     * `reduce.findings_deduped`. Fresh verdicts are stored after the
+     * parallel stage, in findings order.
      */
     VerdictCache *verdictCache = nullptr;
     /**
@@ -285,7 +286,8 @@ struct TriageOptions {
 /**
  * Reduce, signature, deduplicate, and classify @p findings. The
  * reduce + signature stage fans out over options.threads workers with
- * a per-finding "reduce"/"signature" TraceSpan each; classification
+ * a per-finding "reduce"/"signature" TraceSpan each, handing out
+ * findings longest program text first; classification
  * and deduplication stay serial in findings order, so the summary
  * never depends on scheduling. Like the paper's workflow, duplicates
  * found during pre-report deduplication are *dropped*;

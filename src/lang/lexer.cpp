@@ -1,8 +1,5 @@
 #include "lang/lexer.hpp"
 
-#include <cctype>
-#include <unordered_map>
-
 namespace dce::lang {
 
 const char *
@@ -81,18 +78,99 @@ tokKindName(TokKind kind)
 
 namespace {
 
-const std::unordered_map<std::string_view, TokKind> kKeywords = {
-    {"void", TokKind::KwVoid},       {"char", TokKind::KwChar},
-    {"short", TokKind::KwShort},     {"int", TokKind::KwInt},
-    {"long", TokKind::KwLong},       {"unsigned", TokKind::KwUnsigned},
-    {"signed", TokKind::KwSigned},   {"static", TokKind::KwStatic},
-    {"extern", TokKind::KwExtern},   {"if", TokKind::KwIf},
-    {"else", TokKind::KwElse},       {"while", TokKind::KwWhile},
-    {"do", TokKind::KwDo},           {"for", TokKind::KwFor},
-    {"switch", TokKind::KwSwitch},   {"case", TokKind::KwCase},
-    {"default", TokKind::KwDefault}, {"break", TokKind::KwBreak},
-    {"continue", TokKind::KwContinue}, {"return", TokKind::KwReturn},
-};
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+bool
+isIdentStart(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool
+isIdentChar(char c)
+{
+    return isIdentStart(c) || isDigit(c);
+}
+
+bool
+isHexDigit(char c)
+{
+    char lower = static_cast<char>(c | 0x20);
+    return isDigit(c) || (lower >= 'a' && lower <= 'f');
+}
+
+/** The keyword @p text spells, or Identifier: a switch on length and
+ * first character leaves at most one candidate to compare. */
+TokKind
+keywordKind(std::string_view text)
+{
+    auto is = [&](std::string_view keyword, TokKind kind) {
+        return text == keyword ? kind : TokKind::Identifier;
+    };
+    switch (text.size()) {
+      case 2:
+        if (text[0] == 'i')
+            return is("if", TokKind::KwIf);
+        if (text[0] == 'd')
+            return is("do", TokKind::KwDo);
+        break;
+      case 3:
+        if (text[0] == 'i')
+            return is("int", TokKind::KwInt);
+        if (text[0] == 'f')
+            return is("for", TokKind::KwFor);
+        break;
+      case 4:
+        switch (text[0]) {
+          case 'v': return is("void", TokKind::KwVoid);
+          case 'l': return is("long", TokKind::KwLong);
+          case 'e': return is("else", TokKind::KwElse);
+          case 'c':
+            return text[1] == 'h' ? is("char", TokKind::KwChar)
+                                  : is("case", TokKind::KwCase);
+        }
+        break;
+      case 5:
+        switch (text[0]) {
+          case 's': return is("short", TokKind::KwShort);
+          case 'w': return is("while", TokKind::KwWhile);
+          case 'b': return is("break", TokKind::KwBreak);
+        }
+        break;
+      case 6:
+        switch (text[0]) {
+          case 'e': return is("extern", TokKind::KwExtern);
+          case 'r': return is("return", TokKind::KwReturn);
+          case 's':
+            switch (text[1]) {
+              case 'i': return is("signed", TokKind::KwSigned);
+              case 't': return is("static", TokKind::KwStatic);
+              case 'w': return is("switch", TokKind::KwSwitch);
+            }
+        }
+        break;
+      case 7:
+        return is("default", TokKind::KwDefault);
+      case 8:
+        if (text[0] == 'u')
+            return is("unsigned", TokKind::KwUnsigned);
+        return is("continue", TokKind::KwContinue);
+    }
+    return TokKind::Identifier;
+}
+
+Token
+token(TokKind kind, SourceLoc loc)
+{
+    Token tok;
+    tok.kind = kind;
+    tok.loc = loc;
+    return tok;
+}
 
 } // namespace
 
@@ -109,50 +187,32 @@ Lexer::peek(size_t ahead) const
     return source_[pos_ + ahead];
 }
 
-char
-Lexer::advance()
-{
-    char c = source_[pos_++];
-    if (c == '\n') {
-        ++line_;
-        column_ = 1;
-    } else {
-        ++column_;
-    }
-    return c;
-}
-
-bool
-Lexer::match(char expected)
-{
-    if (peek() != expected)
-        return false;
-    advance();
-    return true;
-}
-
 void
 Lexer::skipWhitespaceAndComments()
 {
     for (;;) {
         char c = peek();
-        if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-            advance();
+        if (c == ' ' || c == '\t' || c == '\r') {
+            ++pos_;
+        } else if (c == '\n') {
+            ++pos_;
+            newline();
         } else if (c == '/' && peek(1) == '/') {
             while (peek() != '\n' && peek() != '\0')
-                advance();
+                ++pos_;
         } else if (c == '/' && peek(1) == '*') {
-            advance();
-            advance();
+            pos_ += 2;
             while (!(peek() == '*' && peek(1) == '/')) {
-                if (peek() == '\0') {
+                char skipped = peek();
+                if (skipped == '\0') {
                     diags_.error(here(), "unterminated block comment");
                     return;
                 }
-                advance();
+                ++pos_;
+                if (skipped == '\n')
+                    newline();
             }
-            advance();
-            advance();
+            pos_ += 2;
         } else {
             return;
         }
@@ -160,52 +220,39 @@ Lexer::skipWhitespaceAndComments()
 }
 
 Token
-Lexer::makeToken(TokKind kind, SourceLoc loc) const
-{
-    Token tok;
-    tok.kind = kind;
-    tok.loc = loc;
-    return tok;
-}
-
-Token
 Lexer::lexIdentifierOrKeyword()
 {
-    SourceLoc loc = here();
+    Token tok = token(TokKind::Identifier, here());
     size_t start = pos_;
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-        advance();
+    while (pos_ < source_.size() && isIdentChar(source_[pos_]))
+        ++pos_;
     std::string_view text = source_.substr(start, pos_ - start);
-    auto it = kKeywords.find(text);
-    if (it != kKeywords.end())
-        return makeToken(it->second, loc);
-    Token tok = makeToken(TokKind::Identifier, loc);
-    tok.text = std::string(text);
+    tok.kind = keywordKind(text);
+    if (tok.kind == TokKind::Identifier)
+        tok.text = text;
     return tok;
 }
 
 Token
 Lexer::lexNumber()
 {
-    SourceLoc loc = here();
+    Token tok = token(TokKind::IntLiteral, here());
     uint64_t value = 0;
     bool overflow = false;
     if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-        advance();
-        advance();
-        while (std::isxdigit(static_cast<unsigned char>(peek()))) {
-            char c = advance();
-            uint64_t digit = std::isdigit(static_cast<unsigned char>(c))
-                                 ? static_cast<uint64_t>(c - '0')
-                                 : static_cast<uint64_t>(
-                                       std::tolower(c) - 'a' + 10);
+        pos_ += 2;
+        while (isHexDigit(peek())) {
+            char c = source_[pos_++];
+            uint64_t digit =
+                isDigit(c) ? static_cast<uint64_t>(c - '0')
+                           : static_cast<uint64_t>((c | 0x20) - 'a' + 10);
             if (value > (UINT64_MAX - digit) / 16)
                 overflow = true;
             value = value * 16 + digit;
         }
     } else {
-        while (std::isdigit(static_cast<unsigned char>(peek()))) {
-            uint64_t digit = static_cast<uint64_t>(advance() - '0');
+        while (isDigit(peek())) {
+            uint64_t digit = static_cast<uint64_t>(source_[pos_++] - '0');
             if (value > (UINT64_MAX - digit) / 10)
                 overflow = true;
             value = value * 10 + digit;
@@ -214,10 +261,9 @@ Lexer::lexNumber()
     // C-style suffixes are accepted and ignored; MiniC literal types are
     // inferred from the value in sema.
     while (peek() == 'u' || peek() == 'U' || peek() == 'l' || peek() == 'L')
-        advance();
+        ++pos_;
     if (overflow)
-        diags_.error(loc, "integer literal too large");
-    Token tok = makeToken(TokKind::IntLiteral, loc);
+        diags_.error(tok.loc, "integer literal too large");
     tok.intValue = value;
     return tok;
 }
@@ -225,99 +271,104 @@ Lexer::lexNumber()
 Token
 Lexer::lexToken()
 {
-    skipWhitespaceAndComments();
-    SourceLoc loc = here();
-    char c = peek();
-    if (c == '\0')
-        return makeToken(TokKind::Eof, loc);
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
-        return lexIdentifierOrKeyword();
-    if (std::isdigit(static_cast<unsigned char>(c)))
-        return lexNumber();
+    // Loops rather than recursing past bad characters, so a run of
+    // them costs no stack.
+    for (;;) {
+        skipWhitespaceAndComments();
+        SourceLoc loc = here();
+        char c = peek();
+        if (c == '\0')
+            return token(TokKind::Eof, loc);
+        if (isIdentStart(c))
+            return lexIdentifierOrKeyword();
+        if (isDigit(c))
+            return lexNumber();
 
-    advance();
-    switch (c) {
-      case '(': return makeToken(TokKind::LParen, loc);
-      case ')': return makeToken(TokKind::RParen, loc);
-      case '{': return makeToken(TokKind::LBrace, loc);
-      case '}': return makeToken(TokKind::RBrace, loc);
-      case '[': return makeToken(TokKind::LBracket, loc);
-      case ']': return makeToken(TokKind::RBracket, loc);
-      case ';': return makeToken(TokKind::Semicolon, loc);
-      case ',': return makeToken(TokKind::Comma, loc);
-      case ':': return makeToken(TokKind::Colon, loc);
-      case '?': return makeToken(TokKind::Question, loc);
-      case '~': return makeToken(TokKind::Tilde, loc);
-      case '+':
-        if (match('+'))
-            return makeToken(TokKind::PlusPlus, loc);
-        if (match('='))
-            return makeToken(TokKind::PlusAssign, loc);
-        return makeToken(TokKind::Plus, loc);
-      case '-':
-        if (match('-'))
-            return makeToken(TokKind::MinusMinus, loc);
-        if (match('='))
-            return makeToken(TokKind::MinusAssign, loc);
-        return makeToken(TokKind::Minus, loc);
-      case '*':
-        if (match('='))
-            return makeToken(TokKind::StarAssign, loc);
-        return makeToken(TokKind::Star, loc);
-      case '/':
-        if (match('='))
-            return makeToken(TokKind::SlashAssign, loc);
-        return makeToken(TokKind::Slash, loc);
-      case '%':
-        if (match('='))
-            return makeToken(TokKind::PercentAssign, loc);
-        return makeToken(TokKind::Percent, loc);
-      case '&':
-        if (match('&'))
-            return makeToken(TokKind::AmpAmp, loc);
-        if (match('='))
-            return makeToken(TokKind::AmpAssign, loc);
-        return makeToken(TokKind::Amp, loc);
-      case '|':
-        if (match('|'))
-            return makeToken(TokKind::PipePipe, loc);
-        if (match('='))
-            return makeToken(TokKind::PipeAssign, loc);
-        return makeToken(TokKind::Pipe, loc);
-      case '^':
-        if (match('='))
-            return makeToken(TokKind::CaretAssign, loc);
-        return makeToken(TokKind::Caret, loc);
-      case '!':
-        if (match('='))
-            return makeToken(TokKind::NotEq, loc);
-        return makeToken(TokKind::Bang, loc);
-      case '=':
-        if (match('='))
-            return makeToken(TokKind::EqEq, loc);
-        return makeToken(TokKind::Assign, loc);
-      case '<':
-        if (match('<')) {
+        ++pos_;
+        auto match = [&](char expected) {
+            if (peek() != expected)
+                return false;
+            ++pos_;
+            return true;
+        };
+        switch (c) {
+          case '(': return token(TokKind::LParen, loc);
+          case ')': return token(TokKind::RParen, loc);
+          case '{': return token(TokKind::LBrace, loc);
+          case '}': return token(TokKind::RBrace, loc);
+          case '[': return token(TokKind::LBracket, loc);
+          case ']': return token(TokKind::RBracket, loc);
+          case ';': return token(TokKind::Semicolon, loc);
+          case ',': return token(TokKind::Comma, loc);
+          case ':': return token(TokKind::Colon, loc);
+          case '?': return token(TokKind::Question, loc);
+          case '~': return token(TokKind::Tilde, loc);
+          case '+':
+            if (match('+'))
+                return token(TokKind::PlusPlus, loc);
             if (match('='))
-                return makeToken(TokKind::ShlAssign, loc);
-            return makeToken(TokKind::Shl, loc);
-        }
-        if (match('='))
-            return makeToken(TokKind::Le, loc);
-        return makeToken(TokKind::Lt, loc);
-      case '>':
-        if (match('>')) {
+                return token(TokKind::PlusAssign, loc);
+            return token(TokKind::Plus, loc);
+          case '-':
+            if (match('-'))
+                return token(TokKind::MinusMinus, loc);
             if (match('='))
-                return makeToken(TokKind::ShrAssign, loc);
-            return makeToken(TokKind::Shr, loc);
+                return token(TokKind::MinusAssign, loc);
+            return token(TokKind::Minus, loc);
+          case '*':
+            if (match('='))
+                return token(TokKind::StarAssign, loc);
+            return token(TokKind::Star, loc);
+          case '/':
+            if (match('='))
+                return token(TokKind::SlashAssign, loc);
+            return token(TokKind::Slash, loc);
+          case '%':
+            if (match('='))
+                return token(TokKind::PercentAssign, loc);
+            return token(TokKind::Percent, loc);
+          case '&':
+            if (match('&'))
+                return token(TokKind::AmpAmp, loc);
+            if (match('='))
+                return token(TokKind::AmpAssign, loc);
+            return token(TokKind::Amp, loc);
+          case '|':
+            if (match('|'))
+                return token(TokKind::PipePipe, loc);
+            if (match('='))
+                return token(TokKind::PipeAssign, loc);
+            return token(TokKind::Pipe, loc);
+          case '^':
+            if (match('='))
+                return token(TokKind::CaretAssign, loc);
+            return token(TokKind::Caret, loc);
+          case '!':
+            if (match('='))
+                return token(TokKind::NotEq, loc);
+            return token(TokKind::Bang, loc);
+          case '=':
+            if (match('='))
+                return token(TokKind::EqEq, loc);
+            return token(TokKind::Assign, loc);
+          case '<':
+            if (match('<'))
+                return token(match('=') ? TokKind::ShlAssign : TokKind::Shl,
+                             loc);
+            if (match('='))
+                return token(TokKind::Le, loc);
+            return token(TokKind::Lt, loc);
+          case '>':
+            if (match('>'))
+                return token(match('=') ? TokKind::ShrAssign : TokKind::Shr,
+                             loc);
+            if (match('='))
+                return token(TokKind::Ge, loc);
+            return token(TokKind::Gt, loc);
+          default:
+            break;
         }
-        if (match('='))
-            return makeToken(TokKind::Ge, loc);
-        return makeToken(TokKind::Gt, loc);
-      default:
-        diags_.error(loc,
-                     std::string("unexpected character '") + c + "'");
-        return lexToken();
+        diags_.error(loc, std::string("unexpected character '") + c + "'");
     }
 }
 
@@ -325,11 +376,11 @@ std::vector<Token>
 Lexer::lexAll()
 {
     std::vector<Token> tokens;
-    for (;;) {
+    // Printed MiniC averages a little over three bytes per token.
+    tokens.reserve(source_.size() / 3 + 2);
+    do {
         tokens.push_back(lexToken());
-        if (tokens.back().is(TokKind::Eof))
-            break;
-    }
+    } while (!tokens.back().is(TokKind::Eof));
     return tokens;
 }
 

@@ -14,7 +14,8 @@
 
 namespace dce::lang {
 
-/** Tokenizes one MiniC source buffer. */
+/** Tokenizes one MiniC source buffer. The tokens it returns view
+ * @p source (Token::text), which must outlive them. */
 class Lexer {
   public:
     Lexer(std::string_view source, DiagnosticEngine &diags);
@@ -29,21 +30,26 @@ class Lexer {
 
   private:
     char peek(size_t ahead = 0) const;
-    char advance();
-    bool match(char expected);
-    SourceLoc here() const { return {line_, column_}; }
+    SourceLoc here() const
+    {
+        return {line_, static_cast<uint32_t>(pos_ - lineStart_ + 1)};
+    }
+    void newline()
+    {
+        ++line_;
+        lineStart_ = pos_;
+    }
 
     Token lexToken();
     Token lexIdentifierOrKeyword();
     Token lexNumber();
-    Token makeToken(TokKind kind, SourceLoc loc) const;
     void skipWhitespaceAndComments();
 
     std::string_view source_;
     DiagnosticEngine &diags_;
     size_t pos_ = 0;
     uint32_t line_ = 1;
-    uint32_t column_ = 1;
+    size_t lineStart_ = 0; ///< offset of the current line's first byte
 };
 
 } // namespace dce::lang

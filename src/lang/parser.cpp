@@ -7,11 +7,52 @@
 
 namespace dce::lang {
 
-Parser::Parser(std::string_view source, DiagnosticEngine &diags)
-    : diags_(diags)
+/** Counts nesting levels for its lifetime: @p levels on construction,
+ * one more per deeper() (a loop that wraps its result once per
+ * iteration). Past kMaxNesting the parse fails instead of going on. */
+class Parser::NestingGuard {
+  public:
+    explicit NestingGuard(Parser &parser, unsigned levels = 1)
+        : parser_(parser)
+    {
+        while (levels_ < levels)
+            deeper();
+    }
+    ~NestingGuard() { parser_.depth_ -= levels_; }
+    NestingGuard(const NestingGuard &) = delete;
+    NestingGuard &operator=(const NestingGuard &) = delete;
+
+    void
+    deeper()
+    {
+        if (parser_.depth_ >= kMaxNesting)
+            parser_.fail("nesting too deep");
+        ++parser_.depth_;
+        ++levels_;
+    }
+
+  private:
+    Parser &parser_;
+    unsigned levels_ = 0;
+};
+
+Parser::Parser(std::string_view source, DiagnosticEngine &diags,
+               ErrorRecovery recovery)
+    : diags_(diags), recovery_(recovery)
 {
-    Lexer lexer(source, diags);
-    tokens_ = lexer.lexAll();
+    if (recovery == ErrorRecovery::Resync) {
+        tokens_ = Lexer(source, diags).lexAll();
+        return;
+    }
+    // First-error mode: only the lexer's first error reaches @p diags,
+    // and parseTranslationUnit then parses nothing.
+    DiagnosticEngine lex_diags;
+    tokens_ = Lexer(source, lex_diags).lexAll();
+    lexFailed_ = lex_diags.hasErrors();
+    if (lexFailed_) {
+        const Diagnostic &first = lex_diags.all().front();
+        diags.error(first.loc, first.message);
+    }
 }
 
 const Token &
@@ -23,10 +64,10 @@ Parser::peek(size_t ahead) const
     return tokens_[index];
 }
 
-Token
+const Token &
 Parser::consume()
 {
-    Token tok = current();
+    const Token &tok = current();
     if (pos_ + 1 < tokens_.size())
         ++pos_;
     return tok;
@@ -41,7 +82,7 @@ Parser::accept(TokKind kind)
     return true;
 }
 
-Token
+const Token &
 Parser::expect(TokKind kind, const char *context)
 {
     if (!check(kind)) {
@@ -139,10 +180,14 @@ Parser::parseTranslationUnit()
 {
     auto unit = std::make_unique<TranslationUnit>();
     types_ = unit->types;
+    if (lexFailed_) // first-error mode: the lexer's error is the one
+        return unit;
     while (!check(TokKind::Eof)) {
         try {
             parseTopLevel(*unit);
         } catch (ParseError &) {
+            if (recovery_ == ErrorRecovery::FirstError)
+                break;
             // Skip to the next ';' or '}' at file scope and resume, so
             // one bad declaration yields one diagnostic, not a cascade.
             while (!check(TokKind::Eof) && !accept(TokKind::Semicolon) &&
@@ -165,7 +210,7 @@ Parser::parseTopLevel(TranslationUnit &unit)
 
     for (;;) {
         const Type *decl_type = parsePointerSuffix(base);
-        Token name = expect(TokKind::Identifier, "in declaration");
+        const Token &name = expect(TokKind::Identifier, "in declaration");
 
         if (check(TokKind::LParen)) {
             unit.addFunction(
@@ -186,10 +231,10 @@ Parser::parseTopLevel(TranslationUnit &unit)
 }
 
 std::unique_ptr<FunctionDecl>
-Parser::parseFunctionRest(const Type *ret_type, std::string name,
+Parser::parseFunctionRest(const Type *ret_type, std::string_view name,
                           bool is_static, SourceLoc loc)
 {
-    auto fn = std::make_unique<FunctionDecl>(std::move(name), ret_type);
+    auto fn = std::make_unique<FunctionDecl>(std::string(name), ret_type);
     fn->isStatic = is_static;
     fn->loc = loc;
 
@@ -201,9 +246,10 @@ Parser::parseFunctionRest(const Type *ret_type, std::string name,
             SourceLoc param_loc = current().loc;
             const Type *base = parseTypeSpecifier(/*allow_void=*/false);
             const Type *param_type = parsePointerSuffix(base);
-            Token param_name = expect(TokKind::Identifier, "in parameter");
+            const Token &param_name =
+                expect(TokKind::Identifier, "in parameter");
             auto param = std::make_unique<VarDecl>(
-                param_name.text, param_type, Storage::Param);
+                std::string(param_name.text), param_type, Storage::Param);
             param->loc = param_loc;
             fn->params.push_back(std::move(param));
             if (!accept(TokKind::Comma))
@@ -219,18 +265,18 @@ Parser::parseFunctionRest(const Type *ret_type, std::string name,
 }
 
 std::unique_ptr<VarDecl>
-Parser::parseVarRest(const Type *decl_type, std::string name,
+Parser::parseVarRest(const Type *decl_type, std::string_view name,
                      Storage storage, SourceLoc loc)
 {
     const Type *type = decl_type;
     if (accept(TokKind::LBracket)) {
-        Token size = expect(TokKind::IntLiteral, "as array size");
+        uint64_t size = expect(TokKind::IntLiteral, "as array size").intValue;
         expect(TokKind::RBracket, "after array size");
-        if (size.intValue == 0)
+        if (size == 0)
             fail("array size must be positive");
-        type = types_->arrayOf(decl_type, size.intValue);
+        type = types_->arrayOf(decl_type, size);
     }
-    auto decl = std::make_unique<VarDecl>(std::move(name), type, storage);
+    auto decl = std::make_unique<VarDecl>(std::string(name), type, storage);
     decl->loc = loc;
 
     if (accept(TokKind::Assign)) {
@@ -286,7 +332,8 @@ Parser::parseLocalDecls(std::vector<StmtPtr> &out)
     const Type *base = parseTypeSpecifier(/*allow_void=*/false);
     for (;;) {
         const Type *decl_type = parsePointerSuffix(base);
-        Token name = expect(TokKind::Identifier, "in local declaration");
+        const Token &name =
+            expect(TokKind::Identifier, "in local declaration");
         auto decl =
             parseVarRest(decl_type, name.text, Storage::Local, loc);
         auto stmt = std::make_unique<DeclStmt>(std::move(decl));
@@ -302,6 +349,7 @@ Parser::parseLocalDecls(std::vector<StmtPtr> &out)
 StmtPtr
 Parser::parseStmt()
 {
+    NestingGuard nesting(*this);
     SourceLoc loc = current().loc;
     switch (current().kind) {
       case TokKind::LBrace:
@@ -413,7 +461,7 @@ Parser::parseFor()
     } else if (startsType()) {
         const Type *base = parseTypeSpecifier(/*allow_void=*/false);
         const Type *decl_type = parsePointerSuffix(base);
-        Token name = expect(TokKind::Identifier, "in for-init");
+        const Token &name = expect(TokKind::Identifier, "in for-init");
         auto decl = parseVarRest(decl_type, name.text, Storage::Local, loc);
         stmt->init = std::make_unique<DeclStmt>(std::move(decl));
         expect(TokKind::Semicolon, "after for-init");
@@ -448,8 +496,8 @@ Parser::parseSwitch()
         arm.loc = current().loc;
         if (accept(TokKind::KwCase)) {
             bool negative = accept(TokKind::Minus);
-            Token value = expect(TokKind::IntLiteral, "after case");
-            int64_t v = static_cast<int64_t>(value.intValue);
+            int64_t v = static_cast<int64_t>(
+                expect(TokKind::IntLiteral, "after case").intValue);
             arm.value = negative ? -v : v;
         } else if (accept(TokKind::KwDefault)) {
             arm.value = std::nullopt;
@@ -529,6 +577,7 @@ Parser::parseAssignment()
         return lhs;
     }
     SourceLoc loc = consume().loc;
+    NestingGuard nesting(*this);
     ExprPtr rhs = parseAssignment(); // right-associative
     auto expr = std::make_unique<AssignExpr>(op, std::move(lhs),
                                              std::move(rhs));
@@ -545,6 +594,7 @@ Parser::parseConditional()
     SourceLoc loc = consume().loc;
     ExprPtr then_expr = parseExpr();
     expect(TokKind::Colon, "in conditional expression");
+    NestingGuard nesting(*this);
     ExprPtr else_expr = parseConditional();
     auto expr = std::make_unique<ConditionalExpr>(
         std::move(cond), std::move(then_expr), std::move(else_expr));
@@ -616,11 +666,13 @@ ExprPtr
 Parser::parseBinary(int min_precedence)
 {
     ExprPtr lhs = parseUnary();
+    NestingGuard nesting(*this, 0);
     for (;;) {
         int precedence = binaryPrecedence(current().kind);
         if (precedence < 0 || precedence < min_precedence)
             return lhs;
-        Token op_tok = consume();
+        nesting.deeper(); // each operator wraps lhs once more
+        const Token &op_tok = consume();
         ExprPtr rhs = parseBinary(precedence + 1);
         auto expr = std::make_unique<BinaryExpr>(
             binaryOpForToken(op_tok.kind), std::move(lhs), std::move(rhs));
@@ -632,6 +684,7 @@ Parser::parseBinary(int min_precedence)
 ExprPtr
 Parser::parseUnary()
 {
+    NestingGuard nesting(*this);
     SourceLoc loc = current().loc;
     UnaryOp op;
     switch (current().kind) {
@@ -677,9 +730,11 @@ ExprPtr
 Parser::parsePostfix()
 {
     ExprPtr expr = parsePrimary();
+    NestingGuard nesting(*this, 0);
     for (;;) {
         SourceLoc loc = current().loc;
         if (accept(TokKind::LBracket)) {
+            nesting.deeper(); // each suffix wraps expr once more
             ExprPtr index = parseExpr();
             expect(TokKind::RBracket, "after subscript");
             auto indexed = std::make_unique<IndexExpr>(std::move(expr),
@@ -687,6 +742,7 @@ Parser::parsePostfix()
             indexed->loc = loc;
             expr = std::move(indexed);
         } else if (check(TokKind::PlusPlus) || check(TokKind::MinusMinus)) {
+            nesting.deeper();
             UnaryOp op = check(TokKind::PlusPlus) ? UnaryOp::PostInc
                                                   : UnaryOp::PostDec;
             consume();
@@ -705,13 +761,12 @@ Parser::parsePrimary()
     SourceLoc loc = current().loc;
     switch (current().kind) {
       case TokKind::IntLiteral: {
-        Token tok = consume();
-        auto expr = std::make_unique<IntLit>(tok.intValue);
+        auto expr = std::make_unique<IntLit>(consume().intValue);
         expr->loc = loc;
         return expr;
       }
       case TokKind::Identifier: {
-        Token tok = consume();
+        std::string_view name = consume().text;
         if (accept(TokKind::LParen)) {
             std::vector<ExprPtr> args;
             if (!check(TokKind::RParen)) {
@@ -722,12 +777,12 @@ Parser::parsePrimary()
                 }
             }
             expect(TokKind::RParen, "after call arguments");
-            auto expr = std::make_unique<CallExpr>(tok.text,
+            auto expr = std::make_unique<CallExpr>(std::string(name),
                                                    std::move(args));
             expr->loc = loc;
             return expr;
         }
-        auto expr = std::make_unique<VarRef>(tok.text);
+        auto expr = std::make_unique<VarRef>(std::string(name));
         expr->loc = loc;
         return expr;
       }
@@ -745,7 +800,7 @@ Parser::parsePrimary()
 std::unique_ptr<TranslationUnit>
 parseAndCheck(std::string_view source, DiagnosticEngine &diags)
 {
-    Parser parser(source, diags);
+    Parser parser(source, diags, ErrorRecovery::FirstError);
     std::unique_ptr<TranslationUnit> unit = parser.parseTranslationUnit();
     if (diags.hasErrors())
         return nullptr;

@@ -1,5 +1,6 @@
 #include "lang/sema.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "support/ints.hpp"
@@ -10,6 +11,7 @@ void
 Sema::error(SourceLoc loc, std::string message)
 {
     diags_.error(loc, std::move(message));
+    throw FirstErrorStop{};
 }
 
 //===------------------------------------------------------------------===//
@@ -20,30 +22,49 @@ void
 Sema::check(TranslationUnit &unit)
 {
     unit_ = &unit;
-    scopes_.clear();
-    scopes_.emplace_back(); // file scope
+    try {
+        checkUnit(unit);
+    } catch (const FirstErrorStop &) {
+        // The one error is reported; the unit is abandoned mid-check.
+    }
+    vars_.clear();
+    scopeStarts_.clear();
+    functions_.clear();
+    currentFunction_ = nullptr;
+    loopDepth_ = 0;
+    switchDepth_ = 0;
+    unit_ = nullptr;
+}
+
+void
+Sema::checkUnit(TranslationUnit &unit)
+{
+    openScope(); // file scope
 
     // Register all file-scope names first so functions can reference
     // globals and call functions declared later in the file.
     for (auto &global : unit.globals) {
-        if (scopes_[0].vars.count(global->name)) {
+        if (declaredInInnermostScope(global->name)) {
             error(global->loc, "redefinition of '" + global->name + "'");
             continue;
         }
-        scopes_[0].vars[global->name] = global.get();
+        declare(*global);
     }
+    functions_.reserve(unit.functions.size());
+    for (size_t i = 0; i < unit.functions.size(); ++i)
+        functions_.push_back(
+            {unit.functions[i]->name, i, unit.functions[i].get()});
+    std::sort(functions_.begin(), functions_.end(),
+              [](const FunctionEntry &a, const FunctionEntry &b) {
+                  return a.name != b.name ? a.name < b.name
+                                          : a.order < b.order;
+              });
     for (auto &fn : unit.functions) {
         // Multiple declarations of the same function are allowed if at
-        // most one has a body; findFunction returns the first, so the
+        // most one has a body; calls resolve to the first, so the
         // definition must come first or be unique. We check signature
         // compatibility only loosely (arity + return type).
-        FunctionDecl *previous = nullptr;
-        for (auto &other : unit.functions) {
-            if (other.get() != fn.get() && other->name == fn->name) {
-                previous = other.get();
-                break;
-            }
-        }
+        FunctionDecl *previous = lookupFunction(fn->name, fn.get());
         if (previous &&
             (previous->returnType != fn->returnType ||
              previous->params.size() != fn->params.size())) {
@@ -58,9 +79,6 @@ Sema::check(TranslationUnit &unit)
         checkGlobal(*global);
     for (auto &fn : unit.functions)
         checkFunction(*fn);
-
-    scopes_.clear();
-    unit_ = nullptr;
 }
 
 void
@@ -107,16 +125,16 @@ Sema::checkFunction(FunctionDecl &fn)
     if (!fn.body)
         return;
     currentFunction_ = &fn;
-    scopes_.emplace_back();
+    openScope();
     for (auto &param : fn.params) {
-        if (scopes_.back().vars.count(param->name))
+        if (declaredInInnermostScope(param->name))
             error(param->loc, "duplicate parameter '" + param->name + "'");
-        scopes_.back().vars[param->name] = param.get();
+        declare(*param);
     }
     // The body's statements are checked in the parameter scope plus one
     // nested block scope (opened by checkStmt for the BlockStmt).
     checkStmt(*fn.body);
-    scopes_.pop_back();
+    closeScope();
     currentFunction_ = nullptr;
 }
 
@@ -127,11 +145,11 @@ Sema::checkFunction(FunctionDecl &fn)
 void
 Sema::checkVarDecl(VarDecl &decl)
 {
-    if (scopes_.back().vars.count(decl.name)) {
+    if (declaredInInnermostScope(decl.name)) {
         error(decl.loc,
               "redefinition of local variable '" + decl.name + "'");
     }
-    scopes_.back().vars[decl.name] = &decl;
+    declare(decl);
     if (decl.init) {
         if (checkExpr(decl.init))
             convertTo(decl.init, decl.type);
@@ -152,10 +170,10 @@ Sema::checkStmt(Stmt &stmt)
     switch (stmt.kind()) {
       case StmtKind::Block: {
         auto &block = static_cast<BlockStmt &>(stmt);
-        scopes_.emplace_back();
+        openScope();
         for (StmtPtr &child : block.stmts)
             checkStmt(*child);
-        scopes_.pop_back();
+        closeScope();
         break;
       }
       case StmtKind::ExprStmt:
@@ -190,7 +208,7 @@ Sema::checkStmt(Stmt &stmt)
       }
       case StmtKind::For: {
         auto &for_stmt = static_cast<ForStmt &>(stmt);
-        scopes_.emplace_back(); // for-init declarations scope
+        openScope(); // for-init declarations scope
         if (for_stmt.init)
             checkStmt(*for_stmt.init);
         if (for_stmt.cond)
@@ -200,7 +218,7 @@ Sema::checkStmt(Stmt &stmt)
         ++loopDepth_;
         checkStmt(*for_stmt.body);
         --loopDepth_;
-        scopes_.pop_back();
+        closeScope();
         break;
       }
       case StmtKind::Switch: {
@@ -354,13 +372,37 @@ Sema::convertTo(ExprPtr &expr, const Type *target)
 // Expressions
 //===------------------------------------------------------------------===//
 
-VarDecl *
-Sema::lookupVar(const std::string &name) const
+bool
+Sema::declaredInInnermostScope(std::string_view name) const
 {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-        auto found = it->vars.find(name);
-        if (found != it->vars.end())
-            return found->second;
+    for (size_t i = vars_.size(); i-- > scopeStarts_.back();) {
+        if (vars_[i].name == name)
+            return true;
+    }
+    return false;
+}
+
+VarDecl *
+Sema::lookupVar(std::string_view name) const
+{
+    for (size_t i = vars_.size(); i-- > 0;) {
+        if (vars_[i].name == name)
+            return vars_[i].decl;
+    }
+    return nullptr;
+}
+
+FunctionDecl *
+Sema::lookupFunction(std::string_view name, const FunctionDecl *except) const
+{
+    auto it = std::lower_bound(
+        functions_.begin(), functions_.end(), name,
+        [](const FunctionEntry &entry, std::string_view key) {
+            return entry.name < key;
+        });
+    for (; it != functions_.end() && it->name == name; ++it) {
+        if (it->decl != except)
+            return it->decl;
     }
     return nullptr;
 }
@@ -658,7 +700,7 @@ const Type *
 Sema::checkCall(ExprPtr &slot)
 {
     auto &call = static_cast<CallExpr &>(*slot);
-    call.decl = unit_->findFunction(call.callee);
+    call.decl = lookupFunction(call.callee);
     if (!call.decl) {
         error(call.loc, "call to undeclared function '" + call.callee +
                             "'");

@@ -10,7 +10,7 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "lang/ast.hpp"
@@ -26,14 +26,28 @@ class Sema {
     /**
      * Analyze @p unit in place: resolve every VarRef/CallExpr, install
      * Expr::type / Expr::lvalue, wrap operands in implicit CastExprs,
-     * and validate declarations. Errors go to the DiagnosticEngine.
+     * and validate declarations. The check ends at the first error,
+     * which goes to the DiagnosticEngine, and leaves the unit partly
+     * annotated (parseAndCheck discards it).
      */
     void check(TranslationUnit &unit);
 
   private:
-    struct Scope {
-        std::unordered_map<std::string, VarDecl *> vars;
+    struct FirstErrorStop {};
+
+    /** One visible variable; the name views the AST's VarDecl::name. */
+    struct ScopedVar {
+        std::string_view name;
+        VarDecl *decl;
     };
+    /** One function; the index holds these sorted by (name, order). */
+    struct FunctionEntry {
+        std::string_view name;
+        size_t order; ///< position in TranslationUnit::functions
+        FunctionDecl *decl;
+    };
+
+    void checkUnit(TranslationUnit &unit);
 
     void checkGlobal(VarDecl &decl);
     void checkFunction(FunctionDecl &fn);
@@ -65,14 +79,35 @@ class Sema {
     /** C's usual arithmetic conversions (simplified, see DESIGN.md). */
     const Type *commonType(const Type *a, const Type *b) const;
 
-    VarDecl *lookupVar(const std::string &name) const;
+    void openScope() { scopeStarts_.push_back(vars_.size()); }
+    void closeScope()
+    {
+        vars_.resize(scopeStarts_.back());
+        scopeStarts_.pop_back();
+    }
+    void declare(VarDecl &decl) { vars_.push_back({decl.name, &decl}); }
+    bool declaredInInnermostScope(std::string_view name) const;
+    /** Innermost-first search of every open scope. */
+    VarDecl *lookupVar(std::string_view name) const;
+    /** The first-declared function named @p name other than
+     * @p except, or null. */
+    FunctionDecl *lookupFunction(std::string_view name,
+                                 const FunctionDecl *except = nullptr) const;
 
+    /** Report @p message and end the check: throws FirstErrorStop,
+     * which check() catches. */
     void error(SourceLoc loc, std::string message);
 
     DiagnosticEngine &diags_;
     TranslationUnit *unit_ = nullptr;
     FunctionDecl *currentFunction_ = nullptr;
-    std::vector<Scope> scopes_;
+    /** Visible variables, innermost last; scope i starts at
+     * vars_[scopeStarts_[i]]. One flat vector instead of a hash map per
+     * block: lookups neither hash nor allocate. */
+    std::vector<ScopedVar> vars_;
+    std::vector<size_t> scopeStarts_;
+    /** Function index, built once per check. */
+    std::vector<FunctionEntry> functions_;
     int loopDepth_ = 0;
     int switchDepth_ = 0;
 };

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "support/source_location.hpp"
 
@@ -89,11 +89,13 @@ enum class TokKind {
 const char *tokKindName(TokKind kind);
 
 /** One lexed token. Identifier text / literal value are populated as
- * appropriate for the kind. */
+ * appropriate for the kind. Tokens are views: `text` points into the
+ * source buffer the Lexer was given, so a token must not outlive that
+ * buffer (the parser copies names into the AST before returning). */
 struct Token {
     TokKind kind = TokKind::Eof;
     SourceLoc loc;
-    std::string text;     ///< identifier spelling
+    std::string_view text; ///< identifier spelling, a view of the source
     uint64_t intValue = 0; ///< integer literal value
 
     bool is(TokKind k) const { return kind == k; }

@@ -7,7 +7,7 @@ namespace dce::lang {
 namespace {
 
 std::vector<Token>
-lex(const std::string &source)
+lex(std::string_view source)
 {
     DiagnosticEngine diags;
     Lexer lexer(source, diags);

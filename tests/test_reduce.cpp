@@ -5,11 +5,17 @@
  * rejection classification, and parallel batch triage determinism. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+
 #include "core/campaign.hpp"
 #include "core/triage.hpp"
+#include "corpus/store.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
 #include "reduce/reducer.hpp"
+#include "report/event_log.hpp"
+#include "support/hash.hpp"
 
 namespace dce::reduce {
 namespace {
@@ -281,6 +287,29 @@ TEST(Triage, RejectReasonNamesAreStable)
                  "not-differential");
 }
 
+/** A verdict cache that also records every store() key, in order. */
+class RecordingVerdictCache : public corpus::MemoryVerdictCache {
+  public:
+    void
+    store(const VerdictKey &key, const CachedVerdict &verdict) override
+    {
+        MemoryVerdictCache::store(key, verdict);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stored_.push_back(key.fingerprint());
+    }
+
+    std::vector<std::string>
+    stored() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return stored_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::vector<std::string> stored_;
+};
+
 TEST(Triage, ParallelBatchTriageMatchesSerial)
 {
     CampaignOptions campaign_options;
@@ -288,31 +317,97 @@ TEST(Triage, ParallelBatchTriageMatchesSerial)
     Campaign campaign =
         runCampaign(200, 12, {alphaO3(), betaO3()}, campaign_options);
     std::vector<Finding> findings = collectFindings(
-        campaign, alphaO3(), betaO3(), /*max_findings=*/2);
-    if (findings.empty())
-        GTEST_SKIP() << "corpus produced no alpha-vs-beta findings";
+        campaign, alphaO3(), betaO3(), /*max_findings=*/3);
+    if (findings.size() < 2)
+        GTEST_SKIP() << "corpus produced too few alpha-vs-beta findings";
 
-    TriageOptions serial;
-    serial.maxTests = 300;
-    TriageOptions parallel;
-    parallel.maxTests = 300;
-    parallel.threads = 4;
-    parallel.reduceWorkers = 2;
+    // Sources grow with the finding index, so the longest-first order
+    // the pool draws is the exact reverse of index order.
+    auto source_of = [](const Finding &finding) {
+        return lang::printUnit(*makeProgram(finding.seed).unit);
+    };
+    std::stable_sort(findings.begin(), findings.end(),
+                     [&](const Finding &a, const Finding &b) {
+                         return source_of(a).size() <
+                                source_of(b).size();
+                     });
+    ASSERT_LT(source_of(findings.front()).size(),
+              source_of(findings.back()).size());
+    std::vector<VerdictKey> keys;
+    for (const Finding &finding : findings) {
+        VerdictKey key;
+        key.programHash = support::fnv1a64Hex(source_of(finding));
+        key.markers = {finding.marker};
+        key.missedBy = finding.missedBy.name();
+        key.reference = finding.reference.name();
+        keys.push_back(key);
+    }
 
-    TriageSummary serial_summary = triageFindings(findings, serial);
-    TriageSummary parallel_summary =
-        triageFindings(findings, parallel);
-    ASSERT_EQ(parallel_summary.reports.size(),
-              serial_summary.reports.size());
-    for (size_t i = 0; i < serial_summary.reports.size(); ++i) {
-        const Report &a = serial_summary.reports[i];
-        const Report &b = parallel_summary.reports[i];
-        EXPECT_EQ(b.reducedSource, a.reducedSource) << i;
-        EXPECT_EQ(b.signature, a.signature) << i;
-        EXPECT_EQ(b.reductionTests, a.reductionTests) << i;
-        EXPECT_EQ(b.confirmed, a.confirmed) << i;
-        EXPECT_EQ(b.duplicate, a.duplicate) << i;
-        EXPECT_EQ(b.fixed, a.fixed) << i;
+    struct Run {
+        support::MetricsRegistry registry;
+        TriageSummary summary;
+        RecordingVerdictCache cache;
+        report::EventLog events{&registry};
+    };
+    // One thread against four (with two reduce workers each), plain
+    // and with a verdict cache and an event log attached.
+    auto triage = [&](bool parallel, bool cached, Run &run) {
+        TriageOptions options;
+        options.maxTests = 300;
+        if (parallel) {
+            options.threads = 4;
+            options.reduceWorkers = 2;
+        }
+        options.metrics = &run.registry;
+        if (cached) {
+            options.verdictCache = &run.cache;
+            options.events = &run.events;
+        }
+        run.summary = triageFindings(findings, options);
+    };
+    for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cache and events" : "plain");
+        Run serial;
+        Run parallel;
+        triage(false, cached, serial);
+        triage(true, cached, parallel);
+
+        ASSERT_EQ(parallel.summary.reports.size(),
+                  serial.summary.reports.size());
+        for (size_t i = 0; i < serial.summary.reports.size(); ++i) {
+            const Report &a = serial.summary.reports[i];
+            const Report &b = parallel.summary.reports[i];
+            EXPECT_EQ(b.finding.seed, a.finding.seed) << i;
+            EXPECT_EQ(b.reducedSource, a.reducedSource) << i;
+            EXPECT_EQ(b.signature, a.signature) << i;
+            EXPECT_EQ(b.reductionTests, a.reductionTests) << i;
+            EXPECT_EQ(b.confirmed, a.confirmed) << i;
+            EXPECT_EQ(b.duplicate, a.duplicate) << i;
+            EXPECT_EQ(b.fixed, a.fixed) << i;
+        }
+        if (!cached)
+            continue;
+
+        // Fresh verdicts reach the cache in findings order, whatever
+        // order the pool reduced them in, and hold the same verdicts.
+        std::vector<std::string> expected;
+        for (const VerdictKey &key : keys)
+            expected.push_back(key.fingerprint());
+        EXPECT_EQ(serial.cache.stored(), expected);
+        EXPECT_EQ(parallel.cache.stored(), expected);
+        for (const VerdictKey &key : keys) {
+            std::optional<CachedVerdict> a = serial.cache.lookup(key);
+            std::optional<CachedVerdict> b = parallel.cache.lookup(key);
+            ASSERT_TRUE(a && b) << key.fingerprint();
+            EXPECT_EQ(b->reducedSource, a->reducedSource);
+            EXPECT_EQ(b->signature, a->signature);
+            EXPECT_EQ(b->fixed, a->fixed);
+            EXPECT_EQ(b->reductionTests, a->reductionTests);
+        }
+
+        // Emission order differs; the key-ordered logs do not.
+        EXPECT_EQ(parallel.events.toJsonl(), serial.events.toJsonl());
+        EXPECT_EQ(serial.events.size(), 2 * findings.size());
     }
 }
 
