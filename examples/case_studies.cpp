@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/analysis.hpp"
+#include "compiler/compiler.hpp"
 #include "ir/lowering.hpp"
 #include "lang/parser.hpp"
 
@@ -155,9 +155,8 @@ main()
         auto lowered = ir::lowerToIr(*unit);
         auto probe = [&](CompilerId id, OptLevel level) {
             compiler::Compiler comp(id, level);
-            return core::aliveMarkers(*lowered, comp).count(0) != 0
-                       ? "MISS"
-                       : "elim";
+            return comp.eliminates(*lowered, /*marker=*/0) ? "elim"
+                                                            : "MISS";
         };
         std::printf("%-38s %6s %6s %6s %6s   %s\n", cs.name,
                     probe(CompilerId::Alpha, OptLevel::O1),

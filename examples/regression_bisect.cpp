@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bisect/bisect.hpp"
-#include "core/analysis.hpp"
+#include "compiler/compiler.hpp"
 #include "ir/lowering.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -51,7 +51,7 @@ main()
     auto lowered = ir::lowerToIr(*unit);
     for (OptLevel level : {OptLevel::O1, OptLevel::O2, OptLevel::O3}) {
         compiler::Compiler comp(CompilerId::Beta, level);
-        bool missed = core::aliveMarkers(*lowered, comp).count(0) != 0;
+        bool missed = !comp.eliminates(*lowered, /*marker=*/0);
         std::printf("%-22s -> marker %s\n", comp.describe().c_str(),
                     missed ? "MISSED" : "eliminated");
     }
@@ -82,7 +82,7 @@ main()
     for (size_t commit = spec.headIndex() + 1;
          commit < spec.history().size(); ++commit) {
         compiler::Compiler fixed(CompilerId::Beta, OptLevel::O3, commit);
-        if (!core::aliveMarkers(*lowered, fixed).count(0)) {
+        if (fixed.eliminates(*lowered, /*marker=*/0)) {
             std::printf("\nfixed by %s (%s)\n",
                         spec.history()[commit].hash.c_str(),
                         spec.history()[commit].subject.c_str());

@@ -1,17 +1,21 @@
 #include "bisect/bisect.hpp"
 
-#include "core/analysis.hpp"
+#include "ir/lowering.hpp"
 
 namespace dce::bisect {
 
+namespace {
+
+/** Does the given build miss @p marker in @p lowered? */
 bool
-markerMissedAt(compiler::CompilerId id, compiler::OptLevel level,
-               size_t commit_index, const lang::TranslationUnit &unit,
-               unsigned marker)
+missedAt(compiler::CompilerId id, compiler::OptLevel level,
+         size_t commit_index, const ir::Module &lowered, unsigned marker)
 {
-    compiler::Compiler comp(id, level, commit_index);
-    return core::aliveMarkers(unit, comp).count(marker) != 0;
+    return !compiler::Compiler(id, level, commit_index)
+                .eliminates(lowered, marker);
 }
+
+} // namespace
 
 const char *
 bisectStatusName(BisectStatus status)
@@ -66,12 +70,14 @@ bisectRegression(compiler::CompilerId id, compiler::OptLevel level,
         emitResolved(events, marker, first_good, first_bad, result);
         return result;
     }
-    if (markerMissedAt(id, level, good, unit, marker)) {
+    // One lowering serves every probed commit.
+    const std::unique_ptr<ir::Module> lowered = ir::lowerToIr(unit);
+    if (missedAt(id, level, good, *lowered, marker)) {
         result.status = BisectStatus::AlreadyBadAtGood;
         emitResolved(events, marker, first_good, first_bad, result);
         return result;
     }
-    if (!markerMissedAt(id, level, bad, unit, marker)) {
+    if (!missedAt(id, level, bad, *lowered, marker)) {
         result.status = BisectStatus::NotBadAtBad;
         emitResolved(events, marker, first_good, first_bad, result);
         return result;
@@ -79,7 +85,7 @@ bisectRegression(compiler::CompilerId id, compiler::OptLevel level,
 
     while (bad - good > 1) {
         size_t mid = good + (bad - good) / 2;
-        if (markerMissedAt(id, level, mid, unit, marker))
+        if (missedAt(id, level, mid, *lowered, marker))
             bad = mid;
         else
             good = mid;

@@ -42,11 +42,6 @@ struct BisectResult {
     const compiler::Commit *commit = nullptr;
 };
 
-/** Is @p marker present in the assembly of the given build? */
-bool markerMissedAt(compiler::CompilerId id, compiler::OptLevel level,
-                    size_t commit_index,
-                    const lang::TranslationUnit &unit, unsigned marker);
-
 /**
  * Binary-search the first commit in (good, bad] at which @p marker is
  * missed. @pre marker eliminated at @p good, missed at @p bad (checked

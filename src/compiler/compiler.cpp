@@ -4,6 +4,7 @@
 
 #include "ir/clone.hpp"
 #include "ir/lowering.hpp"
+#include "support/markers.hpp"
 #include "support/trace.hpp"
 
 namespace dce::compiler {
@@ -425,6 +426,39 @@ Compiler::compileLowered(const ir::Module &lowered, bool verify_each,
     return Compilation(std::move(module), observers, std::move(error));
 }
 
+bool
+Compiler::eliminates(const ir::Module &lowered, unsigned marker) const
+{
+    // survivingMarkersInIr counts calls to the marker's declaration.
+    const std::string name = support::markerName(marker);
+    auto declaration = [&](const ir::Module &module) {
+        const ir::Function *fn = module.getFunction(name);
+        return fn && fn->isDeclaration() ? fn : nullptr;
+    };
+    const ir::Function *callee = declaration(lowered);
+    if (!callee)
+        return true;
+    if (level_ == OptLevel::O0)
+        return opt::callsDoomed(lowered, callee, /*globaldce_ahead=*/false);
+
+    std::unique_ptr<ir::Module> module = ir::cloneModule(lowered);
+    callee = declaration(*module);
+    support::TraceSpan span("optimize", "compile");
+    opt::PassManager pm = pipeline();
+    pm.run(*module, /*verify_each=*/false, callee);
+    return pm.stoppedEarly() ||
+           opt::callsDoomed(*module, callee, /*globaldce_ahead=*/false);
+}
+
+opt::PassManager
+Compiler::pipeline() const
+{
+    opt::PassManager pm(
+        adjustForLevel(spec(id_).configAt(level_, commitIndex_), level_));
+    buildPipeline(pm, level_);
+    return pm;
+}
+
 std::string
 Compiler::optimize(ir::Module &module, bool verify_each,
                    BuildObservers observers) const
@@ -432,10 +466,7 @@ Compiler::optimize(ir::Module &module, bool verify_each,
     if (level_ == OptLevel::O0)
         return {};
     support::TraceSpan span("optimize", "compile");
-    opt::PassConfig config =
-        adjustForLevel(spec(id_).configAt(level_, commitIndex_), level_);
-    opt::PassManager pm(config);
-    buildPipeline(pm, level_);
+    opt::PassManager pm = pipeline();
     pm.setRemarks(observers.remarks);
     pm.setMetrics(observers.metrics);
     pm.run(module, verify_each);

@@ -124,6 +124,18 @@ class Compiler {
                                BuildObservers observers = {}) const;
 
     /**
+     * Does this build eliminate marker @p marker (the declaration
+     * named support::markerName(marker)) from @p lowered? The answer
+     * equals `!compileLowered(lowered).survivingMarkers().count(marker)`,
+     * but the pipeline over the clone stops as soon as it is fixed:
+     * once no call to the marker is left, or every call left sits in
+     * a function the final GlobalDCE must erase (opt::callsDoomed,
+     * DESIGN.md §21). For single-marker questions — reduction tests,
+     * signatures, bisection. @p lowered is not modified.
+     */
+    bool eliminates(const ir::Module &lowered, unsigned marker) const;
+
+    /**
      * Run this build's pipeline in place over @p module (which must
      * be an O0 lowering this build owns).
      * @return the verification failure, empty on success.
@@ -132,6 +144,9 @@ class Compiler {
                          BuildObservers observers = {}) const;
 
   private:
+    /** A PassManager holding this build's configured pipeline. */
+    opt::PassManager pipeline() const;
+
     CompilerId id_;
     OptLevel level_;
     size_t commitIndex_;

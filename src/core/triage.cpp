@@ -1,6 +1,7 @@
 #include "core/triage.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 
 #include "instrument/instrument.hpp"
@@ -120,16 +121,17 @@ InterestingnessTest::test(const std::string &candidate,
 
     // Differential: missed by one build, eliminated by the other. The
     // missed-by side runs first — shrinking candidates most often stop
-    // being missed, so the second pipeline is frequently skipped.
+    // being missed, so the second pipeline is frequently skipped. Each
+    // pipeline stops once the marker's fate is fixed (DESIGN.md §21).
     compiles_->add();
-    if (!aliveMarkers(*lowered, missedBy_.make()).count(marker_))
+    if (missedBy_.make().eliminates(*lowered, marker_))
         return reject(RejectReason::NotDifferential);
     // Equiv findings set reference == missedBy: the same build cannot
     // both miss and eliminate the marker, so the probe is vacuous.
     if (sameBuild_)
         return true;
     compiles_->add();
-    if (aliveMarkers(*lowered, reference_.make()).count(marker_))
+    if (!reference_.make().eliminates(*lowered, marker_))
         return reject(RejectReason::NotDifferential);
     return true;
 }
@@ -156,7 +158,7 @@ signatureOf(const std::string &reduced_source, const Finding &finding,
          commit < spec.history().size(); ++commit) {
         compiler::Compiler fixed_build(finding.missedBy.id,
                                        finding.missedBy.level, commit);
-        if (!aliveMarkers(*lowered, fixed_build).count(finding.marker)) {
+        if (fixed_build.eliminates(*lowered, finding.marker)) {
             fixed = true;
             return "fixedby:" + spec.history()[commit].hash;
         }
@@ -167,8 +169,7 @@ signatureOf(const std::string &reduced_source, const Finding &finding,
     std::string fingerprint = "capability:";
     for (compiler::OptLevel level : compiler::allOptLevels()) {
         compiler::Compiler probe(finding.missedBy.id, level);
-        fingerprint +=
-            aliveMarkers(*lowered, probe).count(finding.marker) ? 'm' : 'e';
+        fingerprint += probe.eliminates(*lowered, finding.marker) ? 'e' : 'm';
     }
     return fingerprint;
 }
@@ -303,6 +304,32 @@ triageFindings(const std::vector<Finding> &findings,
         return a < b;
     });
     std::vector<ReducedFinding> slots(findings.size());
+    // Fresh verdicts reach the cache in findings order, each as soon as
+    // every finding before it is done (followers need nothing), so the
+    // store sees the same sequence for every thread count and hand-out
+    // order, and a kill mid-batch keeps the finished prefix. store()
+    // runs under the mutex because that sequence is the contract.
+    std::mutex store_mutex;
+    std::vector<char> complete(findings.size(), 0);
+    size_t stored_end = 0; ///< findings before it are stored or need not be
+    auto finished = [&](size_t i) {
+        if (!options.verdictCache)
+            return;
+        std::lock_guard<std::mutex> lock(store_mutex);
+        complete[i] = 1;
+        for (; stored_end < findings.size(); ++stored_end) {
+            const size_t j = stored_end;
+            if (leaderOf[j] != j)
+                continue;
+            if (!complete[j])
+                break;
+            if (slots[j].fresh) {
+                options.verdictCache->store(
+                    keys[j], {slots[j].reduction.source, slots[j].signature,
+                              slots[j].fixed, slots[j].reduction.testsRun});
+            }
+        }
+    };
     pool.forChunks(
         order.size(), 1, [&](size_t begin, size_t end) {
             for (size_t k = begin; k < end; ++k) {
@@ -322,6 +349,7 @@ triageFindings(const std::vector<Finding> &findings,
                             .add();
                         emitVerdictCached(options.events, i, finding,
                                           keys[i], "store");
+                        finished(i);
                         continue;
                     }
                 }
@@ -360,19 +388,14 @@ triageFindings(const std::vector<Finding> &findings,
                         .str("fingerprint", keys[i].fingerprint());
                     options.events->emit(std::move(done));
                 }
+                finished(i);
             }
         });
 
-    // Store fresh verdicts and replay leader verdicts into follower
-    // slots (testsRun included, so warm and cold summaries are
-    // byte-identical), in findings order: a store behind the cache
-    // sees the same sequence for every thread count and hand-out order.
+    // Replay leader verdicts into follower slots (testsRun included, so
+    // warm and cold summaries are byte-identical), in findings order.
     for (size_t i = 0; i < findings.size(); ++i) {
-        if (leaderOf[i] == i && slots[i].fresh && options.verdictCache) {
-            options.verdictCache->store(
-                keys[i], {slots[i].reduction.source, slots[i].signature,
-                          slots[i].fixed, slots[i].reduction.testsRun});
-        } else if (leaderOf[i] != i) {
+        if (leaderOf[i] != i) {
             slots[i] = slots[leaderOf[i]];
             emitVerdictCached(options.events, i, findings[i], keys[i],
                               "batch");

@@ -86,10 +86,10 @@ const char *rejectReasonName(RejectReason reason);
  * skipped — the predicate degrades to "this build misses this truly
  * dead marker". One parse / lowering / execution per candidate; the
  * two differential builds run over clones of that single lowering via
- * Compiler::compileLowered — the campaign engine's lowering cache in
- * miniature. Every rejection is classified (RejectReason) and counted
- * under `reduce.reject{<reason>}`; each differential pipeline run
- * bumps `reduce.compiles`.
+ * Compiler::eliminates, which stops each pipeline once the marker's
+ * fate is fixed (DESIGN.md §21). Every rejection is classified
+ * (RejectReason) and counted under `reduce.reject{<reason>}`; each
+ * differential pipeline run bumps `reduce.compiles`.
  *
  * Immutable after construction, so one instance is safe to call
  * concurrently from every speculation worker of a ParallelReducer.
@@ -270,8 +270,9 @@ struct TriageOptions {
      * verdict — `reduce.tests` drops, the summary does not change, and
      * no finding disappears from it. Hits land in
      * `reduce.verdict_cache_hits`, within-batch reuse in
-     * `reduce.findings_deduped`. Fresh verdicts are stored after the
-     * parallel stage, in findings order.
+     * `reduce.findings_deduped`. Fresh verdicts are stored in findings
+     * order, each as soon as every finding before it is done, so a
+     * kill mid-batch keeps the finished prefix (DESIGN.md §20).
      */
     VerdictCache *verdictCache = nullptr;
     /**

@@ -45,10 +45,7 @@ class GlobalDce : public Pass {
                     }
                 }
             },
-            [](const Function &fn) {
-                return fn.isInternal() && !fn.isDeclaration() &&
-                       fn.name() != "main" && !fn.noDce();
-            },
+            [](const Function &fn) { return erasableWhenUncalled(fn); },
             [&](Function *fn) {
                 if (ctx.wantRemarks())
                     reportErasedMarkerCalls(*fn, ctx);

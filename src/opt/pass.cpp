@@ -45,7 +45,56 @@ takeCensus(const ir::Module &module)
     return census;
 }
 
+bool
+holdsCallTo(const ir::Function &fn, const ir::Function *callee)
+{
+    for (const auto &block : fn.blocks()) {
+        for (const auto &instr : block->instrs()) {
+            if (instr->opcode() == ir::Opcode::Call &&
+                instr->callee == callee)
+                return true;
+        }
+    }
+    return false;
+}
+
 } // namespace
+
+bool
+erasableWhenUncalled(const ir::Function &fn)
+{
+    return fn.isInternal() && !fn.isDeclaration() &&
+           fn.name() != "main" && !fn.noDce();
+}
+
+bool
+callsDoomed(const ir::Module &module, const ir::Function *callee,
+            bool globaldce_ahead)
+{
+    // The functions holding a call to the callee: each must be one the
+    // GlobalDCE ahead erases...
+    std::vector<const ir::Function *> holders;
+    for (const auto &fn : module.functions()) {
+        if (!holdsCallTo(*fn, callee))
+            continue;
+        if (!globaldce_ahead || !erasableWhenUncalled(*fn))
+            return false;
+        holders.push_back(fn.get());
+    }
+    // ...and nothing may call it. No pass calls a function that has no
+    // call left, so an uncalled holder stays uncalled until then.
+    for (const auto &fn : module.functions()) {
+        for (const auto &block : fn->blocks()) {
+            for (const auto &instr : block->instrs()) {
+                if (instr->opcode() == ir::Opcode::Call &&
+                    std::find(holders.begin(), holders.end(),
+                              instr->callee) != holders.end())
+                    return false;
+            }
+        }
+    }
+    return true;
+}
 
 unsigned
 removeUnreachableBlocks(ir::Function &fn, const std::string &pass_name,
@@ -74,6 +123,8 @@ PassManager::add(std::unique_ptr<Pass> pass)
 {
     // The pass class stands for its name: one class per pass.
     const Pass &added = *pass;
+    if (added.name() == "globaldce")
+        globalDceEnd_ = passes_.size() + 1;
     std::pair<std::type_index, std::string> key{typeid(added),
                                                 added.flavour()};
     auto it = std::find(keys_.begin(), keys_.end(), key);
@@ -105,8 +156,41 @@ misreport(const ir::Module &module, bool skipped, bool changed,
 } // namespace
 
 bool
-PassManager::run(ir::Module &module, bool verify_each)
+PassManager::run(ir::Module &module, bool verify_each,
+                 const ir::Function *watched)
 {
+    stoppedEarly_ = false;
+    // Is a globaldce still ahead once the passes before @p next ran?
+    auto globaldce_ahead = [&](size_t next) {
+        return config_.globalDce && globalDceEnd_ > next;
+    };
+    // The early exit: the watched callee's fate is fixed.
+    auto doomed = [&](size_t next) {
+        return watched && !verify_each &&
+               callsDoomed(module, watched, globaldce_ahead(next));
+    };
+    // Checking mode: each marker the rule declared doomed, with where.
+    std::vector<std::pair<const ir::Function *, std::string>> declared;
+    auto declare = [&](size_t next, const std::string &where) {
+        for (const auto &fn : module.functions()) {
+            const ir::Function *marker = fn.get();
+            auto known = [&](const auto &entry) {
+                return entry.first == marker;
+            };
+            if (marker->isDeclaration() &&
+                support::markerIndex(marker->name()) &&
+                std::none_of(declared.begin(), declared.end(), known) &&
+                callsDoomed(module, marker, globaldce_ahead(next)))
+                declared.emplace_back(marker, where);
+        }
+    };
+    if (doomed(0)) {
+        stoppedEarly_ = true;
+        return false;
+    }
+    if (verify_each)
+        declare(0, "before the first pass");
+
     // The census (and the per-pass instruction deltas riding on it)
     // only runs when an observability sink is attached, and only after
     // a pass that changed the module.
@@ -227,6 +311,22 @@ PassManager::run(ir::Module &module, bool verify_each)
                 }
             }
             before = std::move(after);
+        }
+        if (verify_each)
+            declare(i + 1, "after pass '" + pass.name() + "'");
+        if (doomed(i + 1)) {
+            stoppedEarly_ = true;
+            return changed;
+        }
+    }
+    for (const auto &[marker, where] : declared) {
+        for (const auto &fn : module.functions()) {
+            if (!holdsCallTo(*fn, marker))
+                continue;
+            lastError_ = where + ":\n" + marker->name() +
+                         " was declared doomed, but a call to it "
+                         "survives the pipeline in '" + fn->name() + "'";
+            return changed;
         }
     }
     return changed;

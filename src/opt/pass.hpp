@@ -200,6 +200,22 @@ unsigned removeUnreachableBlocks(ir::Function &fn,
                                  const std::string &pass_name,
                                  const PassContext &ctx, const char *why);
 
+/** True when a GlobalDCE pass erases @p fn once nothing calls it: an
+ * internal, defined function that is not `main` and not kept alive by
+ * the inliner (noDce). */
+bool erasableWhenUncalled(const ir::Function &fn);
+
+/**
+ * The early-exit rule (DESIGN.md §21): true when no call to @p callee
+ * can survive the rest of a pipeline. Either no call is left, or
+ * @p globaldce_ahead holds and every remaining call sits in a function
+ * that nothing calls and that the GlobalDCE still ahead must erase
+ * (erasableWhenUncalled). A function that calls itself has a call
+ * site, so it never counts as doomed here (nor is it erased).
+ */
+bool callsDoomed(const ir::Module &module, const ir::Function *callee,
+                 bool globaldce_ahead);
+
 /** Runs a pass sequence, skipping passes that cannot change the
  * module; optionally verifies after every pass. */
 class PassManager {
@@ -236,12 +252,29 @@ class PassManager {
      * that would have been skipped runs anyway and must report no
      * change, change nothing and emit no remark. The first failure
      * stops the run with the offending pass named in `lastError`.
+     * Checking mode also checks the early-exit rule: after every pass
+     * that changed the module it applies callsDoomed to every marker,
+     * and a marker declared doomed that still has a call at the end
+     * fails the run, naming the pass after which it was declared.
+     *
+     * @param watched optional callee whose survival is the only
+     *        question asked (a marker declaration of @p module).
+     *        Outside checking mode the run returns as soon as
+     *        callsDoomed holds for it — before the first pass or
+     *        after a pass that changed the module — and stoppedEarly()
+     *        says so. The module is then only partly optimized, and
+     *        attached sinks see only the passes that ran.
      * @return true if any pass changed the module.
      */
-    bool run(ir::Module &module, bool verify_each = false);
+    bool run(ir::Module &module, bool verify_each = false,
+             const ir::Function *watched = nullptr);
 
     /** Non-empty when a verification failure was detected. */
     const std::string &lastError() const { return lastError_; }
+
+    /** True when the last run returned early because every call to
+     * its watched callee was doomed. */
+    bool stoppedEarly() const { return stoppedEarly_; }
 
   private:
     PassConfig config_;
@@ -249,7 +282,10 @@ class PassManager {
     /// Per pass, a dense index of its key (name + flavour).
     std::vector<unsigned> keyOf_;
     std::vector<std::pair<std::type_index, std::string>> keys_;
+    /// One past the index of the last globaldce pass (0 = none).
+    size_t globalDceEnd_ = 0;
     std::string lastError_;
+    bool stoppedEarly_ = false;
     support::RemarkCollector *remarks_ = nullptr;
     support::MetricsRegistry *metrics_ = nullptr;
 };

@@ -341,48 +341,16 @@ class Parser {
             return fail("unexpected end");
         char ch = text_[position_];
         switch (ch) {
-        case '{': {
-            ++position_;
-            out.kind = JsonValue::Kind::Object;
-            skipSpace();
-            if (consume('}'))
-                return true;
-            for (;;) {
-                std::string name;
-                skipSpace();
-                if (!parseString(name))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                JsonValue member;
-                if (!parseValue(member))
-                    return false;
-                out.members.emplace(std::move(name),
-                                    std::move(member));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-        }
+        case '{':
         case '[': {
+            // Each level recurses once; bound the depth, not the stack.
+            if (depth_ == JsonValue::kMaxNesting)
+                return fail("nesting too deep");
+            ++depth_;
             ++position_;
-            out.kind = JsonValue::Kind::Array;
-            skipSpace();
-            if (consume(']'))
-                return true;
-            for (;;) {
-                JsonValue item;
-                if (!parseValue(item))
-                    return false;
-                out.items.push_back(std::move(item));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                return fail("expected ',' or ']'");
-            }
+            const bool ok = ch == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
         }
         case '"':
             out.kind = JsonValue::Kind::String;
@@ -422,8 +390,57 @@ class Parser {
         }
     }
 
+    /** The members after an opening '{'. */
+    bool
+    parseObject(JsonValue &out)
+    {
+        out.kind = JsonValue::Kind::Object;
+        skipSpace();
+        if (consume('}'))
+            return true;
+        for (;;) {
+            std::string name;
+            skipSpace();
+            if (!parseString(name))
+                return false;
+            if (!consume(':'))
+                return fail("expected ':'");
+            JsonValue member;
+            if (!parseValue(member))
+                return false;
+            out.members.emplace(std::move(name), std::move(member));
+            if (consume(','))
+                continue;
+            if (consume('}'))
+                return true;
+            return fail("expected ',' or '}'");
+        }
+    }
+
+    /** The items after an opening '['. */
+    bool
+    parseArray(JsonValue &out)
+    {
+        out.kind = JsonValue::Kind::Array;
+        skipSpace();
+        if (consume(']'))
+            return true;
+        for (;;) {
+            JsonValue item;
+            if (!parseValue(item))
+                return false;
+            out.items.push_back(std::move(item));
+            if (consume(','))
+                continue;
+            if (consume(']'))
+                return true;
+            return fail("expected ',' or ']'");
+        }
+    }
+
     std::string_view text_;
     size_t position_ = 0;
+    unsigned depth_ = 0; ///< objects and arrays open around position_
     std::string error_;
 };
 

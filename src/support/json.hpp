@@ -15,9 +15,10 @@
  *  - JsonWriter: a comma-tracking streaming writer.
  *  - JsonValue: a recursive-descent reader covering the subset the
  *    writer emits (objects, arrays, strings, 64-bit integers,
- *    booleans, null). Self-contained on purpose — the container
- *    images carry no JSON library, and the tree controls both ends of
- *    every format, so a full parser would be dead weight.
+ *    booleans, null), with a fixed nesting limit. Self-contained on
+ *    purpose — the container images carry no JSON library, and the
+ *    tree controls both ends of every format, so a full parser would
+ *    be dead weight.
  *  - sealJsonLine/unsealJsonLine: CRC-sealed one-line objects for
  *    files that must detect torn or flipped bytes.
  */
@@ -106,8 +107,14 @@ class JsonValue {
     std::vector<JsonValue> items;
     std::map<std::string, JsonValue> members;
 
+    /** Deepest nesting of objects and arrays parse() accepts. The
+     * tree's own documents nest a few levels; deeper input fails with
+     * "nesting too deep" instead of recursing off the stack. */
+    static constexpr unsigned kMaxNesting = 256;
+
     /** Parse one complete document (trailing whitespace allowed).
-     * nullopt + @p error message on malformed input. */
+     * nullopt + @p error message on malformed input, including input
+     * nested deeper than kMaxNesting. */
     static std::optional<JsonValue> parse(std::string_view json,
                                           std::string *error = nullptr);
 

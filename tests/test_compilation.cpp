@@ -4,10 +4,12 @@
  * survival equivalence, artifact laziness (a plain campaign never
  * pays for codegen), error-as-value semantics, the shared-Compiler
  * thread-safety regression (the old `mutable lastError_` data race),
- * and the byte-identity of campaign records across thread counts.
+ * the byte-identity of campaign records across thread counts, and the
+ * early-exit single-marker query against the full compile (§21).
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "compiler/compiler.hpp"
@@ -15,6 +17,7 @@
 #include "core/campaign.hpp"
 #include "helpers.hpp"
 #include "ir/builder.hpp"
+#include "ir/clone.hpp"
 #include "ir/lowering.hpp"
 #include "support/metrics.hpp"
 
@@ -190,6 +193,179 @@ TEST(Compilation, RecordsIdenticalAcrossThreads)
     }
     EXPECT_EQ(runs[0].programs, runs[1].programs)
         << "records diverge between 1 and 8 threads";
+}
+
+//===------------------------------------------------------------------===//
+// Single-marker early exit == full compile (DESIGN.md §21)
+//===------------------------------------------------------------------===//
+
+/** Every build the triage probes: each compiler at each level, at head
+ * and at every fix commit after it. */
+std::vector<Compiler>
+probedBuilds()
+{
+    std::vector<Compiler> builds;
+    for (CompilerId id : {CompilerId::Alpha, CompilerId::Beta}) {
+        const compiler::CompilerSpec &spec = compiler::spec(id);
+        for (OptLevel level : compiler::allOptLevels()) {
+            for (size_t commit = spec.headIndex();
+                 commit < spec.history().size(); ++commit)
+                builds.emplace_back(id, level, commit);
+        }
+    }
+    return builds;
+}
+
+/** Seeds [first, first + 5) per shard, 40 shards: 200 seeds. */
+class EliminatesMatchesFullCompile
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EliminatesMatchesFullCompile, ForEveryMarkerAndProbedBuild)
+{
+    const std::vector<Compiler> builds = probedBuilds();
+    for (uint64_t seed = GetParam(); seed < GetParam() + 5; ++seed) {
+        instrument::Instrumented prog = core::makeProgram(seed);
+        auto lowered = ir::lowerToIr(*prog.unit);
+        for (const Compiler &comp : builds) {
+            const std::set<unsigned> alive =
+                comp.compileLowered(*lowered).survivingMarkers();
+            for (unsigned m = 0; m < prog.markerCount(); ++m) {
+                ASSERT_EQ(comp.eliminates(*lowered, m), !alive.count(m))
+                    << comp.describe() << " seed " << seed << " marker "
+                    << m;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EliminatesMatchesFullCompile,
+                         ::testing::Range<uint64_t>(7000, 7200, 5));
+
+/** Run @p id's head pipeline at @p level over a clone of @p lowered,
+ * watching DCEMarker0; true when the run stopped early. */
+bool
+stopsEarly(const ir::Module &lowered, CompilerId id, OptLevel level)
+{
+    auto module = ir::cloneModule(lowered);
+    const compiler::CompilerSpec &spec = compiler::spec(id);
+    opt::PassManager pm(compiler::adjustForLevel(
+        spec.configAt(level, spec.headIndex()), level));
+    compiler::buildPipeline(pm, level);
+    pm.run(*module, /*verify_each=*/false,
+           module->getFunction("DCEMarker0"));
+    return pm.stoppedEarly();
+}
+
+/** For every head build: eliminates() on DCEMarker0 of @p source
+ * against the full compile, the early stop against @p stops, and a
+ * clean checking-mode run (which checks the rule for every marker). */
+using BuildPredicate = std::function<bool(CompilerId, OptLevel)>;
+
+void
+expectEliminates(const std::string &source,
+                 const BuildPredicate &eliminated,
+                 const BuildPredicate &stops)
+{
+    auto unit = parseOk(source);
+    ASSERT_TRUE(unit);
+    auto lowered = ir::lowerToIr(*unit);
+    for (CompilerId id : {CompilerId::Alpha, CompilerId::Beta}) {
+        for (OptLevel level : compiler::allOptLevels()) {
+            Compiler comp(id, level);
+            Compilation full =
+                comp.compileLowered(*lowered, /*verify_each=*/true);
+            ASSERT_TRUE(full.ok()) << comp.describe() << full.error();
+            EXPECT_EQ(!full.survivingMarkers().count(0),
+                      eliminated(id, level))
+                << comp.describe();
+            EXPECT_EQ(comp.eliminates(*lowered, 0), eliminated(id, level))
+                << comp.describe();
+            if (level != OptLevel::O0) {
+                EXPECT_EQ(stopsEarly(*lowered, id, level), stops(id, level))
+                    << comp.describe();
+            }
+        }
+    }
+}
+
+bool
+optimizing(CompilerId, OptLevel level)
+{
+    return level != OptLevel::O0;
+}
+
+bool
+never(CompilerId, OptLevel)
+{
+    return false;
+}
+
+TEST(Eliminates, MarkerInUncalledInternalFunctionIsEliminated)
+{
+    // Doomed before the first pass: only the final GlobalDCE removes
+    // the call, yet the answer is fixed from the start.
+    expectEliminates(R"(
+        void DCEMarker0(void);
+        static void unused(void) { DCEMarker0(); }
+        int main() { return 0; }
+    )",
+                     optimizing, optimizing);
+}
+
+TEST(Eliminates, MarkerInUncalledExternalFunctionSurvives)
+{
+    expectEliminates(R"(
+        void DCEMarker0(void);
+        void exported(void) { DCEMarker0(); }
+        int main() { return 0; }
+    )",
+                     never, never);
+}
+
+TEST(Eliminates, MarkerInNoDceHuskSurvives)
+{
+    // Listing 9b: alpha-O3 inlines helper's one call and keeps the
+    // husk (noDce), so the call inside it survives; every other
+    // optimizing build erases the uncalled husk, and knows it can
+    // stop once the call in main is folded away.
+    auto kept = [](CompilerId id, OptLevel level) {
+        return id == CompilerId::Alpha && level == OptLevel::O3;
+    };
+    expectEliminates(R"(
+        void DCEMarker0(void);
+        static int helper(int p) {
+            if (p) { DCEMarker0(); }
+            return 0;
+        }
+        int main() {
+            helper(0);
+            return 0;
+        }
+    )",
+                     [&](CompilerId id, OptLevel level) {
+                         return level != OptLevel::O0 && !kept(id, level);
+                     },
+                     [&](CompilerId id, OptLevel level) {
+                         return !kept(id, level);
+                     });
+}
+
+TEST(Eliminates, SelfRecursiveInternalFunctionIsNotDoomedEarly)
+{
+    // Uncalled but calling itself: GlobalDCE counts the self call as a
+    // reference and keeps the function, so the marker survives and
+    // the rule must not declare it doomed.
+    expectEliminates(R"(
+        void DCEMarker0(void);
+        static void spin(int n) {
+            if (n) {
+                DCEMarker0();
+                spin(n - 1);
+            }
+        }
+        int main() { return 0; }
+    )",
+                     never, never);
 }
 
 //===------------------------------------------------------------------===//

@@ -1,5 +1,6 @@
 /** @file Tests for the persistent corpus store: JSON/serialization
- * round trips, crash-tail recovery and corruption classification,
+ * round trips, the JSON nesting bound and a seeded mutation fuzz of
+ * sealed lines, crash-tail recovery and corruption classification,
  * writer locking, checkpoint/resume bit-identity, and verdict-cache
  * deduplication. */
 #include <gtest/gtest.h>
@@ -18,8 +19,11 @@
 #include "corpus/checkpoint.hpp"
 #include "corpus/serialize.hpp"
 #include "corpus/store.hpp"
+#include "fleet/lease.hpp"
+#include "fleet/metrics_io.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
+#include "support/rng.hpp"
 
 namespace fs = std::filesystem;
 
@@ -141,6 +145,192 @@ TEST(Json, SealedLinesDetectEveryBitFlip)
     }
     EXPECT_FALSE(
         support::unsealJsonLine(sealed.substr(0, sealed.size() - 3)));
+}
+
+std::string
+repeat(const std::string &text, size_t times)
+{
+    std::string out;
+    out.reserve(text.size() * times);
+    for (size_t i = 0; i < times; ++i)
+        out += text;
+    return out;
+}
+
+/** Parsing @p input fails with the classified nesting error. */
+void
+expectTooDeep(const std::string &input)
+{
+    std::string error;
+    EXPECT_FALSE(support::JsonValue::parse(input, &error));
+    EXPECT_EQ(error.rfind("nesting too deep", 0), 0u) << error;
+}
+
+TEST(JsonHostile, DeepArraysAreRejectedWithoutACrash)
+{
+    // One recursion per '[' used to run off the stack.
+    expectTooDeep(std::string(1'000'000, '['));
+    const size_t over = support::JsonValue::kMaxNesting + 1;
+    expectTooDeep(std::string(over, '[') + std::string(over, ']'));
+}
+
+TEST(JsonHostile, DeepObjectsAreRejectedWithoutACrash)
+{
+    expectTooDeep(repeat("{\"a\":", 300'000));
+    const size_t over = support::JsonValue::kMaxNesting + 1;
+    expectTooDeep(repeat("{\"a\":", over) + "1" + repeat("}", over));
+    // Mixed, and the limit counts both kinds.
+    expectTooDeep(repeat("[{\"k\":", over / 2 + 1) + "1" +
+                  repeat("}]", over / 2 + 1));
+}
+
+TEST(JsonHostile, NestingUpToTheLimitIsAccepted)
+{
+    const size_t limit = support::JsonValue::kMaxNesting;
+    std::string error;
+    std::optional<support::JsonValue> arrays = support::JsonValue::parse(
+        std::string(limit, '[') + std::string(limit, ']'), &error);
+    ASSERT_TRUE(arrays) << error;
+    EXPECT_TRUE(arrays->isArray());
+    std::optional<support::JsonValue> objects = support::JsonValue::parse(
+        repeat("{\"a\":", limit - 1) + "[7]" + repeat("}", limit - 1),
+        &error);
+    ASSERT_TRUE(objects) << error;
+    const support::JsonValue *inner = &*objects;
+    for (size_t depth = 1; depth < limit; ++depth)
+        inner = inner->get("a");
+    ASSERT_TRUE(inner && inner->isArray());
+    EXPECT_EQ(inner->items.at(0).asU64(), 7u);
+    // The depth unwinds: siblings each get the full budget.
+    std::string deep = std::string(limit - 1, '[') +
+                       std::string(limit - 1, ']');
+    EXPECT_TRUE(support::JsonValue::parse("[" + deep + "," + deep + "]",
+                                          &error))
+        << error;
+}
+
+/** unsealJsonLine on @p text without its trailing newlines, the way
+ * the file readers call it. */
+bool
+unseals(std::string_view text)
+{
+    while (!text.empty() && text.back() == '\n')
+        text.remove_suffix(1);
+    return support::unsealJsonLine(text).has_value();
+}
+
+/** Valid sealed lines the tree writes and reads back: a checkpoint, a
+ * lease file and a fleet metrics dump, each from its real encoder. */
+std::vector<std::string>
+sealedSamples()
+{
+    std::vector<std::string> samples;
+    CampaignPlan plan;
+    plan.firstSeed = 5;
+    plan.count = 40;
+    plan.chunkSize = 8;
+    plan.builds = {alphaO3(), betaO3()};
+    support::MetricsRegistry registry;
+    registry.counter("campaign.seeds_done").add(16);
+    registry.counter("campaign.stage_us", "optimize").add(12345);
+    registry.histogram("campaign.seed_us").observe(250);
+    StoredFinding stored;
+    stored.chunk = 1;
+    stored.slot = 3;
+    stored.finding = core::Finding{11, 4, alphaO3(), betaO3()};
+    samples.push_back(encodeCheckpointJson(serializePlan(plan), {0, 1},
+                                           2, 0x1234abcd, registry,
+                                           {{1, {stored}}}));
+
+    TempDir dir("jsonfuzz");
+    fs::create_directories(dir.str());
+    EXPECT_TRUE(fleet::LeaseTable::init(dir.str(), 4, 2));
+    fleet::LeaseTable table(dir.str());
+    std::optional<fleet::Lease> lease =
+        table.claim(::getpid(), "worker.0", 60'000, 0);
+    EXPECT_TRUE(lease);
+    if (lease) {
+        lease->counters = {{"campaign.seeds_done", 16}};
+        lease->stageUs = 777;
+        lease->findings = {{1, 3, 11, 4}};
+        EXPECT_TRUE(table.complete(*lease));
+    }
+    for (const auto &entry : fs::directory_iterator(dir.str() + "/leases")) {
+        std::string text = readFile(entry.path().string());
+        if (text.find("\"state\":\"done\"") != std::string::npos)
+            samples.push_back(text);
+    }
+    EXPECT_EQ(samples.size(), 2u) << "no done lease file found";
+
+    samples.push_back(fleet::encodeRegistryDump(
+        {{"campaign.seeds_done", 16}, {"reduce.tests", 300}},
+        registry.histograms()));
+    for (const std::string &sample : samples)
+        EXPECT_TRUE(unseals(sample)) << sample;
+    return samples;
+}
+
+/** One random edit: byte flip, bracket or quote insert, range delete
+ * or duplicate, or a line cut spliced in from another sample. */
+void
+mutateJson(std::string &text, const std::vector<std::string> &samples,
+           Rng &rng)
+{
+    static const char kBytes[] = "[]{}\":,\\-0123456789tfnu \n";
+    size_t pos = rng.below(text.size() + 1);
+    size_t len = std::min(text.size() - pos,
+                          static_cast<size_t>(1 + rng.below(48)));
+    switch (rng.below(5)) {
+      case 0:
+        if (pos < text.size())
+            text[pos] = static_cast<char>(rng.below(256));
+        break;
+      case 1:
+        text.insert(pos, 1 + rng.below(4),
+                    kBytes[rng.below(sizeof(kBytes) - 1)]);
+        break;
+      case 2:
+        text.erase(pos, len);
+        break;
+      case 3:
+        text.insert(pos, text.substr(pos, len));
+        break;
+      default: {
+        const std::string &other = samples[rng.below(samples.size())];
+        size_t from = rng.below(other.size());
+        text.insert(pos, other.substr(from, 1 + rng.below(64)));
+        break;
+      }
+    }
+}
+
+TEST(JsonFuzz, MutatedSealedLinesEndInAValueOrAnError)
+{
+    constexpr size_t kInputs = 2'000;
+    const std::vector<std::string> samples = sealedSamples();
+    ASSERT_FALSE(samples.empty());
+    Rng rng(0x15f022);
+    size_t parsed = 0;
+    size_t unsealed = 0;
+    for (size_t i = 0; i < kInputs; ++i) {
+        std::string input = samples[rng.below(samples.size())];
+        for (uint64_t edits = 1 + rng.below(4); edits > 0; --edits)
+            mutateJson(input, samples, rng);
+        std::string error;
+        std::optional<support::JsonValue> value =
+            support::JsonValue::parse(input, &error);
+        if (value)
+            ++parsed;
+        else
+            EXPECT_FALSE(error.empty()) << "input " << i;
+        if (unseals(input))
+            ++unsealed;
+    }
+    // Both outcomes are exercised by the parser; a mutated line almost
+    // never keeps a valid seal.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_LT(parsed, kInputs);
+    EXPECT_LT(unsealed, kInputs / 10);
 }
 
 //===------------------------------------------------------------------===//

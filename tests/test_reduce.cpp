@@ -287,15 +287,19 @@ TEST(Triage, RejectReasonNamesAreStable)
                  "not-differential");
 }
 
-/** A verdict cache that also records every store() key, in order. */
+/** A verdict cache that also records every store() key, in order,
+ * and how many events the watched log held at that moment. */
 class RecordingVerdictCache : public corpus::MemoryVerdictCache {
   public:
+    void watch(const report::EventLog *events) { events_ = events; }
+
     void
     store(const VerdictKey &key, const CachedVerdict &verdict) override
     {
         MemoryVerdictCache::store(key, verdict);
         std::lock_guard<std::mutex> lock(mutex_);
         stored_.push_back(key.fingerprint());
+        eventsAtStore_.push_back(events_ ? events_->size() : 0);
     }
 
     std::vector<std::string>
@@ -305,9 +309,18 @@ class RecordingVerdictCache : public corpus::MemoryVerdictCache {
         return stored_;
     }
 
+    std::vector<size_t>
+    eventsAtStore() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return eventsAtStore_;
+    }
+
   private:
     mutable std::mutex mutex_;
+    const report::EventLog *events_ = nullptr;
     std::vector<std::string> stored_;
+    std::vector<size_t> eventsAtStore_;
 };
 
 TEST(Triage, ParallelBatchTriageMatchesSerial)
@@ -360,6 +373,7 @@ TEST(Triage, ParallelBatchTriageMatchesSerial)
         }
         options.metrics = &run.registry;
         if (cached) {
+            run.cache.watch(&run.events);
             options.verdictCache = &run.cache;
             options.events = &run.events;
         }
@@ -408,7 +422,28 @@ TEST(Triage, ParallelBatchTriageMatchesSerial)
         // Emission order differs; the key-ordered logs do not.
         EXPECT_EQ(parallel.events.toJsonl(), serial.events.toJsonl());
         EXPECT_EQ(serial.events.size(), 2 * findings.size());
+        // Serially the pool reduces the last finding first, so no
+        // findings-order prefix completes before every reduction has
+        // finished (one reduction_finished event each).
+        EXPECT_EQ(serial.cache.eventsAtStore(),
+                  std::vector<size_t>(findings.size(), findings.size()));
     }
+
+    // Findings already longest first: serially, each verdict is stored
+    // as soon as its reduction finishes, before the next one's
+    // reduction_finished event — a kill keeps every finished one.
+    std::reverse(findings.begin(), findings.end());
+    std::reverse(keys.begin(), keys.end());
+    Run longest_first;
+    triage(false, true, longest_first);
+    std::vector<std::string> expected;
+    std::vector<size_t> events_at_store;
+    for (size_t i = 0; i < keys.size(); ++i) {
+        expected.push_back(keys[i].fingerprint());
+        events_at_store.push_back(i + 1);
+    }
+    EXPECT_EQ(longest_first.cache.stored(), expected);
+    EXPECT_EQ(longest_first.cache.eventsAtStore(), events_at_store);
 }
 
 } // namespace
