@@ -655,45 +655,6 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
     return result;
 }
 
-std::optional<CheckpointedCampaign>
-resumeCampaign(const std::string &store_path,
-               const CheckpointRunOptions &options, StoreError *error)
-{
-    // The registry must exist before the store opens so the corpus.*
-    // instruments land in it.
-    std::shared_ptr<support::MetricsRegistry> owned;
-    support::MetricsRegistry *registry = options.metrics;
-    if (!registry) {
-        owned = std::make_shared<support::MetricsRegistry>();
-        registry = owned.get();
-    }
-
-    OpenOptions open_options;
-    open_options.createIfMissing = false;
-    open_options.metrics = registry;
-    StoreError err;
-    std::unique_ptr<CorpusStore> store =
-        CorpusStore::open(store_path, &err, open_options);
-    if (!store) {
-        setError(error, err.status, err.message);
-        return std::nullopt;
-    }
-    std::optional<CheckpointState> parsed =
-        readCheckpointState(*store, error);
-    if (!parsed)
-        return std::nullopt;
-
-    CheckpointRunOptions run_options = options;
-    run_options.metrics = registry;
-    std::optional<CheckpointedCampaign> result =
-        runCheckpointed(*store, parsed->plan, run_options, error);
-    if (result && owned) {
-        result->ownedMetrics = owned;
-        result->metrics = owned.get();
-    }
-    return result;
-}
-
 //===------------------------------------------------------------------===//
 // Deterministic summary
 //===------------------------------------------------------------------===//

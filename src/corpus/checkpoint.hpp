@@ -9,16 +9,17 @@
  * RNG stream state at the contiguous watermark, the deterministic
  * campaign counters, and the findings so far.
  *
- * The recovery contract: kill the process at any point, call
- * resumeCampaign on the same store, and the finished campaign —
- * records, findings list, killer-pass histograms, deterministic
- * metrics summary — is byte-identical to an uninterrupted run at any
- * thread count. That holds because (a) chunks are pure functions of
- * the plan, (b) a chunk's metrics are confined to a chunk-local
- * registry until its commit, so checkpointed counters reflect exactly
- * the committed chunks, and (c) the store flushes before each
- * checkpoint, so a checkpoint never names undurable state. Chunks
- * committed after the last checkpoint are simply re-run on resume.
+ * The recovery contract: kill the process at any point, run the plan
+ * the store's checkpoint pins (readCheckpointState) against the same
+ * store, and the finished campaign — records, findings list,
+ * killer-pass histograms, deterministic metrics summary — is
+ * byte-identical to an uninterrupted run at any thread count. That
+ * holds because (a) chunks are pure functions of the plan, (b) a
+ * chunk's metrics are confined to a chunk-local registry until its
+ * commit, so checkpointed counters reflect exactly the committed
+ * chunks, and (c) the store flushes before each checkpoint, so a
+ * checkpoint never names undurable state. Chunks committed after the
+ * last checkpoint are simply re-run on resume.
  */
 #pragma once
 
@@ -244,17 +245,6 @@ std::optional<CheckpointedCampaign>
 runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
                 const CheckpointRunOptions &options = {},
                 StoreError *error = nullptr);
-
-/**
- * Continue the campaign checkpointed in the store at @p store_path to
- * completion. The plan comes from the checkpoint itself; a store
- * without one (fresh, missing) is a classified NoCheckpoint /
- * NotFound error, never a silent empty campaign.
- */
-std::optional<CheckpointedCampaign>
-resumeCampaign(const std::string &store_path,
-               const CheckpointRunOptions &options = {},
-               StoreError *error = nullptr);
 
 /**
  * Deterministic summary of a finished campaign: build names, corpus

@@ -21,6 +21,7 @@
 #include "corpus/store.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/metrics_io.hpp"
+#include "session/session.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
@@ -740,13 +741,21 @@ TEST(Corpus, FreshStoreResumeIsClassified)
     TempDir dir("freshresume");
     StoreError error;
 
+    // A resume session takes its plan from the checkpoint, never the
+    // caller's: without one it fails classified, not as a silent
+    // empty campaign.
+    session::Session resume{CampaignPlan{},
+                            {.mode = session::Mode::Resume,
+                             .dir = dir.str() + "/missing"}};
+
     // No store at all.
-    EXPECT_FALSE(resumeCampaign(dir.str() + "/missing", {}, &error));
+    EXPECT_EQ(resume.run(stdout, &error), 1);
     EXPECT_EQ(error.status, StoreStatus::NotFound);
 
     // A store that never checkpointed.
     populate(dir.str(), 1);
-    EXPECT_FALSE(resumeCampaign(dir.str(), {}, &error));
+    resume.options.dir = dir.str();
+    EXPECT_EQ(resume.run(stdout, &error), 1);
     EXPECT_EQ(error.status, StoreStatus::NoCheckpoint);
 }
 
@@ -888,10 +897,22 @@ TEST(Corpus, ResumeAfterKillIsBitIdentical)
                     << " chunksRun=" << result->chunksRun;
             } // store closed: the "process" died here
 
+            // Resume as a restarted process does: reopen the store
+            // and run the plan its checkpoint pins.
+            support::MetricsRegistry registry;
+            OpenOptions open_options;
+            open_options.createIfMissing = false;
+            open_options.metrics = &registry;
+            auto store = CorpusStore::open(dir.str(), &error, open_options);
+            ASSERT_TRUE(store) << error.message;
+            std::optional<CheckpointState> state =
+                readCheckpointState(*store, &error);
+            ASSERT_TRUE(state) << error.message;
             CheckpointRunOptions resume;
             resume.threads = threads;
+            resume.metrics = &registry;
             std::optional<CheckpointedCampaign> resumed =
-                resumeCampaign(dir.str(), resume, &error);
+                runCheckpointed(*store, state->plan, resume, &error);
             ASSERT_TRUE(resumed) << error.message;
             EXPECT_TRUE(resumed->completed);
             EXPECT_TRUE(resumed->resumed);
