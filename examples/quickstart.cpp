@@ -14,6 +14,7 @@
 
 #include "core/analysis.hpp"
 #include "core/campaign.hpp"
+#include "corpus/store.hpp"
 #include "instrument/instrument.hpp"
 #include "lang/printer.hpp"
 #include "support/trace.hpp"
@@ -109,7 +110,8 @@ main()
     // (https://ui.perfetto.dev) or chrome://tracing to see every seed,
     // stage, and optimization pass on a per-worker timeline.
     support::Tracer::global().setEnabled(false);
-    if (support::Tracer::global().writeJson("quickstart_trace.json")) {
+    if (corpus::writeFileAtomic("quickstart_trace.json",
+                                support::Tracer::global().toJson())) {
         std::printf("wrote quickstart_trace.json (%zu spans) — load it "
                     "at https://ui.perfetto.dev\n",
                     support::Tracer::global().events().size());

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <thread>
 
 #include "gen/mutator.hpp"
 #include "ir/lowering.hpp"
@@ -396,15 +395,6 @@ processSeed(uint64_t seed, const std::vector<BuildSpec> &builds,
 }
 
 unsigned
-resolveThreads(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-unsigned
 resolveChunkSize(unsigned requested, unsigned count, unsigned threads)
 {
     if (requested != 0)
@@ -491,10 +481,6 @@ CampaignRunner::run(uint64_t first_seed, unsigned count) const
                          : support::MetricsRegistry::global();
     SeedProcessor processor(builds_, options_, registry);
 
-    unsigned threads = resolveThreads(options_.threads);
-    unsigned chunk = resolveChunkSize(options_.chunkSize, count,
-                                      threads);
-
     // Shared progress state. Records go straight into their slot; the
     // mutex only guards progress folding and observer invocation.
     std::mutex progress_mutex;
@@ -502,7 +488,9 @@ CampaignRunner::run(uint64_t first_seed, unsigned count) const
     progress.seedsTotal = count;
 
     Clock::time_point wall_start = Clock::now();
-    support::ThreadPool pool(threads);
+    support::ThreadPool pool(options_.threads);
+    unsigned chunk = resolveChunkSize(options_.chunkSize, count,
+                                      pool.threadCount());
     // Folds one seed's counters into the shared progress (caller holds
     // no lock; this takes it). The metric instruments were already
     // updated inside SeedProcessor::process.

@@ -174,15 +174,6 @@ signatureOf(const std::string &reduced_source, const Finding &finding,
     return fingerprint;
 }
 
-unsigned
-resolveThreads(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
 /** Per-finding output of the parallel reduce + signature stage. */
 struct ReducedFinding {
     reduce::ReduceResult reduction;
@@ -239,7 +230,7 @@ triageFindings(const std::vector<Finding> &findings,
         options.metrics ? options.metrics
                         : &support::MetricsRegistry::global();
 
-    support::ThreadPool pool(resolveThreads(options.threads));
+    support::ThreadPool pool(options.threads);
 
     // Stage 0a — every finding's program text, once, in parallel (each
     // is pure in its finding and writes its own slot).

@@ -14,19 +14,6 @@
 
 namespace dce::corpus {
 
-namespace {
-
-void
-setError(StoreError *error, StoreStatus status, std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
-
-} // namespace
-
 std::string
 encodeCheckpointJson(
     const std::string &plan_json, const std::set<uint64_t> &completed,
@@ -561,19 +548,6 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
             ++committed_this_run;
             ++since_checkpoint;
             ++result.chunksRun;
-
-            if (options.observer) {
-                core::CampaignProgress progress;
-                progress.seedsDone = seeds_done;
-                progress.seedsTotal = plan.count;
-                progress.invalidPrograms =
-                    registry.counterTotal("campaign.invalid");
-                progress.cacheHits =
-                    registry.counterValue("campaign.cache_hits");
-                progress.cacheMisses =
-                    registry.counterValue("campaign.cache_misses");
-                options.observer(progress);
-            }
 
             if (since_checkpoint >= options.checkpointEveryChunks ||
                 completed.size() >= target_chunks) {

@@ -147,7 +147,6 @@ struct CheckpointRunOptions {
      * internal registry (resume restores checkpointed counters into
      * it, so passing the global would double-count). */
     support::MetricsRegistry *metrics = nullptr;
-    core::CampaignObserver observer;
     /**
      * Sink for the structured event log (DESIGN.md §12):
      * campaign_started, finding_discovered, chunk_committed,

@@ -48,8 +48,6 @@ storeStatusName(StoreStatus status)
     return "unknown";
 }
 
-namespace {
-
 void
 setError(StoreError *error, StoreStatus status, std::string message)
 {
@@ -59,17 +57,18 @@ setError(StoreError *error, StoreStatus status, std::string message)
     }
 }
 
-bool
-readWholeFile(const std::string &path, std::string &out,
-              StoreError *error)
+std::optional<std::string>
+readWholeFile(const std::string &path, StoreError *error)
 {
     std::FILE *file = std::fopen(path.c_str(), "rb");
     if (!file) {
-        setError(error, StoreStatus::IoError,
+        setError(error,
+                 errno == ENOENT ? StoreStatus::NotFound
+                                 : StoreStatus::IoError,
                  "open " + path + ": " + std::strerror(errno));
-        return false;
+        return std::nullopt;
     }
-    out.clear();
+    std::string out;
     char buffer[1 << 16];
     size_t got;
     while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0)
@@ -78,12 +77,11 @@ readWholeFile(const std::string &path, std::string &out,
     std::fclose(file);
     if (failed) {
         setError(error, StoreStatus::IoError, "read " + path);
-        return false;
+        return std::nullopt;
     }
-    return true;
+    return out;
 }
 
-/** Write @p content to @p path durably via temp-file-plus-rename. */
 bool
 writeFileAtomic(const std::string &path, std::string_view content,
                 StoreError *error)
@@ -114,6 +112,8 @@ writeFileAtomic(const std::string &path, std::string_view content,
     }
     return true;
 }
+
+namespace {
 
 /** fsync the directory itself so renames within it are durable. */
 void
@@ -188,11 +188,12 @@ CorpusStore::open(const std::string &dir, StoreError *error,
     if (!store->acquireLock(error))
         return nullptr;
 
-    std::string manifest_text;
-    if (!readWholeFile(manifest_path, manifest_text, error))
+    std::optional<std::string> manifest_text =
+        readWholeFile(manifest_path, error);
+    if (!manifest_text)
         return nullptr;
     std::optional<support::JsonValue> manifest =
-        support::JsonValue::parse(manifest_text);
+        support::JsonValue::parse(*manifest_text);
     if (!manifest || !manifest->isObject()) {
         setError(error, StoreStatus::Corrupt, "malformed MANIFEST");
         return nullptr;
@@ -328,9 +329,10 @@ CorpusStore::loadGeneration(StoreError *error)
     if (!fs::exists(index_path, ec))
         return true; // fresh generation, nothing to load
 
-    std::string text;
-    if (!readWholeFile(index_path, text, error))
+    std::optional<std::string> loaded = readWholeFile(index_path, error);
+    if (!loaded)
         return false;
+    const std::string &text = *loaded;
 
     size_t line_start = 0;
     size_t keep_bytes = text.size();
@@ -718,10 +720,7 @@ CorpusStore::readCheckpoint(StoreError *error)
                  "no checkpoint in " + dir_);
         return std::nullopt;
     }
-    std::string text;
-    if (!readWholeFile(path, text, error))
-        return std::nullopt;
-    return text;
+    return readWholeFile(path, error);
 }
 
 bool
@@ -754,10 +753,7 @@ CorpusStore::readEquivState(StoreError *error)
                  "no equiv state in " + dir_);
         return std::nullopt;
     }
-    std::string text;
-    if (!readWholeFile(path, text, error))
-        return std::nullopt;
-    return text;
+    return readWholeFile(path, error);
 }
 
 bool

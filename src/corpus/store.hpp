@@ -63,6 +63,31 @@ struct StoreError {
     bool ok() const { return status == StoreStatus::Ok; }
 };
 
+//===-- the file layer (DESIGN.md §11) ----------------------------------===//
+//
+// Every whole-file read and write of the campaign goes through
+// readWholeFile and writeFileAtomic: the store's own files, PLAN.json,
+// leases, metrics dumps, traces, reports, dossiers and event logs.
+
+/** Classify @p error as @p status with @p message; a null @p error is
+ * ignored, so every error channel in the campaign is optional. */
+void setError(StoreError *error, StoreStatus status, std::string message);
+
+/** All of @p path. nullopt + NotFound when it does not exist, IoError
+ * on any other failure. */
+std::optional<std::string> readWholeFile(const std::string &path,
+                                         StoreError *error = nullptr);
+
+/**
+ * Replace @p path with @p content durably: write `<path>.tmp`, fflush,
+ * fsync, fclose, rename. A kill at any point leaves the old file or
+ * none, never a truncated one; every failure removes the temp file and
+ * classifies IoError. Callers that need the rename itself to survive
+ * a crash fsync the directory afterwards, as the store does.
+ */
+bool writeFileAtomic(const std::string &path, std::string_view content,
+                     StoreError *error = nullptr);
+
 /** Aggregate counts for one open store. */
 struct StoreStats {
     uint64_t programs = 0; ///< distinct content-addressed programs

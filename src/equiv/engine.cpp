@@ -283,15 +283,6 @@ analyzeRecord(const corpus::StoredRecord &stored,
     }
 }
 
-unsigned
-resolveThreads(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
 } // namespace
 
 std::optional<EquivSummary>
@@ -319,7 +310,7 @@ runEquivAnalysis(corpus::CorpusStore &store, const EquivOptions &options)
     // (record, plan, options), so the merge below sees the same slot
     // contents for every thread count.
     std::vector<SlotOutcome> slots(records.size());
-    support::ThreadPool pool(resolveThreads(options.threads));
+    support::ThreadPool pool(options.threads);
     pool.forChunks(records.size(), 1, [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
             const corpus::StoredRecord &stored = records[i];

@@ -22,17 +22,14 @@
 
 namespace dce::fleet {
 
+using corpus::setError;
+
 namespace {
 
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
+/** Crash-respawn budget across the fleet's lifetime. */
+constexpr unsigned kMaxRespawns = 8;
+/** Supervision loop poll cadence (SIGCHLD wakes it early). */
+constexpr int kSupervisePollMs = 50;
 
 uint64_t
 steadyUs()
@@ -96,9 +93,6 @@ FleetCoordinator::initFleetDir(corpus::StoreError *error)
 
     FleetConfig config;
     config.plan = plan_;
-    config.leaseTtlMs = options_.leaseTtlMs;
-    config.stealAfterMs = options_.stealAfterMs;
-    config.workerThreads = options_.workerThreads;
     config.workerCheckpointEveryChunks =
         options_.workerCheckpointEveryChunks;
     config.trace = options_.trace;
@@ -107,7 +101,7 @@ FleetCoordinator::initFleetDir(corpus::StoreError *error)
         config.leaseChunks = options_.leaseChunks;
     } else {
         // ~4 leases per worker: coarse enough to amortize claim I/O,
-        // fine enough that a straggler leaves stealable work.
+        // fine enough that a straggler leaves work for idle workers.
         uint64_t workers = options_.workers ? options_.workers : 1;
         config.leaseChunks =
             std::max<uint64_t>(1, config.numChunks() / (workers * 4));
@@ -234,7 +228,7 @@ FleetCoordinator::run(corpus::StoreError *error)
     };
 
     LeaseTable table(fleetDir_);
-    unsigned respawns_left = options_.maxRespawns;
+    unsigned respawns_left = kMaxRespawns;
     unsigned to_spawn = options_.workers ? options_.workers : 1;
     for (unsigned i = 0; i < to_spawn; ++i) {
         uint64_t crash_after =
@@ -252,7 +246,7 @@ FleetCoordinator::run(corpus::StoreError *error)
         struct pollfd pfd = {};
         pfd.fd = pipe_fds[0];
         pfd.events = POLLIN;
-        int rc = ::poll(&pfd, 1, int(options_.pollMs));
+        int rc = ::poll(&pfd, 1, kSupervisePollMs);
         if (rc > 0 && (pfd.revents & POLLIN)) {
             char drain[64];
             while (::read(pipe_fds[0], drain, sizeof drain) > 0)
@@ -381,8 +375,8 @@ FleetCoordinator::run(corpus::StoreError *error)
     if (config_.trace) {
         // Spans above are closed by now; the coordinator's own file
         // joins the workers' under traces/ before the fold.
-        support::Tracer::global().writeJson(
-            coordinatorTracePath(fleetDir_));
+        corpus::writeFileAtomic(coordinatorTracePath(fleetDir_),
+                                support::Tracer::global().toJson());
         corpus::StoreError trace_error;
         std::optional<TraceMergeResult> traces = mergeTraces(
             fleetDir_, mergedTracePath(fleetDir_), &trace_error);
@@ -465,7 +459,7 @@ FleetCoordinator::mergeWorkerMetrics(
         // A dead worker's last dump still counts: it names exactly
         // the leases that worker completed.
         std::optional<std::string> text =
-            readFile(workerMetricsPath(fleetDir_, store));
+            corpus::readWholeFile(workerMetricsPath(fleetDir_, store));
         if (text)
             absorbRegistryDump(*text, into);
     }

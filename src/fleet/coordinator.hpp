@@ -38,18 +38,9 @@ namespace dce::fleet {
 struct FleetOptions {
     unsigned workers = 2;
     /** Chunks per lease; 0 = auto (aim for ~4 leases per worker so
-     * stragglers leave stealable work). */
+     * a straggler leaves work for idle workers). */
     uint64_t leaseChunks = 0;
-    uint64_t leaseTtlMs = 120000;
-    /** Steal claimed-by-a-live-owner leases older than this
-     * (0 = only dead owners / TTL expiry free a lease). */
-    uint64_t stealAfterMs = 0;
-    unsigned workerThreads = 1;
     unsigned workerCheckpointEveryChunks = 4;
-    /** Crash-respawn budget across the fleet's lifetime. */
-    unsigned maxRespawns = 8;
-    /** Supervision loop poll cadence (SIGCHLD wakes it early). */
-    uint64_t pollMs = 50;
     /**
      * Spawn workers by fork+exec of this argv (the fleet dir and
      * store name are appended); empty = fork and run the worker loop

@@ -1,28 +1,12 @@
 #include "fleet/fleet.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <ctime>
-#include <unistd.h>
 
 #include "support/json.hpp"
 
 namespace dce::fleet {
 
-namespace {
-
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
-
-} // namespace
+using corpus::setError;
 
 uint64_t
 FleetConfig::numChunks() const
@@ -131,57 +115,6 @@ monotonicMs()
 }
 
 bool
-writeFileAtomic(const std::string &path, const std::string &contents,
-                corpus::StoreError *error)
-{
-    std::string tmp = path + ".tmp";
-    std::FILE *file = std::fopen(tmp.c_str(), "wb");
-    if (!file) {
-        setError(error, corpus::StoreStatus::IoError,
-                 "open " + tmp + ": " + std::strerror(errno));
-        return false;
-    }
-    bool ok = std::fwrite(contents.data(), 1, contents.size(), file) ==
-              contents.size();
-    ok = std::fflush(file) == 0 && ok;
-    ok = ::fsync(::fileno(file)) == 0 && ok;
-    ok = std::fclose(file) == 0 && ok;
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        setError(error, corpus::StoreStatus::IoError,
-                 "write " + path + ": " + std::strerror(errno));
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-std::optional<std::string>
-readFile(const std::string &path, corpus::StoreError *error)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file) {
-        setError(error,
-                 errno == ENOENT ? corpus::StoreStatus::NotFound
-                                 : corpus::StoreStatus::IoError,
-                 "open " + path + ": " + std::strerror(errno));
-        return std::nullopt;
-    }
-    std::string out;
-    char buffer[4096];
-    size_t got;
-    while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0)
-        out.append(buffer, got);
-    bool failed = std::ferror(file) != 0;
-    std::fclose(file);
-    if (failed) {
-        setError(error, corpus::StoreStatus::IoError,
-                 "read " + path + ": " + std::strerror(errno));
-        return std::nullopt;
-    }
-    return out;
-}
-
-bool
 writeFleetConfig(const std::string &fleet_dir,
                  const FleetConfig &config, corpus::StoreError *error)
 {
@@ -191,17 +124,14 @@ writeFleetConfig(const std::string &fleet_dir,
     writer.key("plan");
     writer.raw(corpus::serializePlan(config.plan));
     writer.field("lease_chunks", config.leaseChunks);
-    writer.field("lease_ttl_ms", config.leaseTtlMs);
-    writer.field("steal_after_ms", config.stealAfterMs);
-    writer.field("worker_threads", uint64_t(config.workerThreads));
     writer.field("worker_checkpoint_every_chunks",
                  uint64_t(config.workerCheckpointEveryChunks));
     writer.field("trace", config.trace);
     writer.field("snapshot_interval_ms", config.snapshotIntervalMs);
     writer.endObject();
-    return writeFileAtomic(planPath(fleet_dir),
-                           support::sealJsonLine(writer.take()) + "\n",
-                           error);
+    return corpus::writeFileAtomic(
+        planPath(fleet_dir), support::sealJsonLine(writer.take()) + "\n",
+        error);
 }
 
 std::optional<FleetConfig>
@@ -209,7 +139,7 @@ readFleetConfig(const std::string &fleet_dir,
                 corpus::StoreError *error)
 {
     std::optional<std::string> text =
-        readFile(planPath(fleet_dir), error);
+        corpus::readWholeFile(planPath(fleet_dir), error);
     if (!text)
         return std::nullopt;
     while (!text->empty() && text->back() == '\n')
@@ -231,11 +161,9 @@ readFleetConfig(const std::string &fleet_dir,
     }
     FleetConfig config;
     config.plan = *plan;
+    // Older PLAN.json files also carry lease_ttl_ms, steal_after_ms
+    // and worker_threads, now constants; those keys are ignored.
     config.leaseChunks = value->getU64("lease_chunks", 1);
-    config.leaseTtlMs = value->getU64("lease_ttl_ms");
-    config.stealAfterMs = value->getU64("steal_after_ms");
-    config.workerThreads =
-        unsigned(value->getU64("worker_threads", 1));
     config.workerCheckpointEveryChunks = unsigned(
         value->getU64("worker_checkpoint_every_chunks", 4));
     // Observability knobs arrived after v1 fleets existed; defaults

@@ -41,15 +41,6 @@ struct FleetConfig {
     corpus::CampaignPlan plan;
     /** Chunks per lease (the shard granule). */
     uint64_t leaseChunks = 1;
-    /** A claimed lease older than this is reclaimable even if its
-     * owner still looks alive — the crash backstop for owners the
-     * coordinator cannot reap (e.g. after a coordinator restart). */
-    uint64_t leaseTtlMs = 120000;
-    /** Work stealing: claim a claimed-by-a-live-owner lease once it
-     * is this old (0 = never steal from the living). */
-    uint64_t stealAfterMs = 0;
-    /** CheckpointRunOptions::threads for each worker's runs. */
-    unsigned workerThreads = 1;
     /** CheckpointRunOptions::checkpointEveryChunks for workers. */
     unsigned workerCheckpointEveryChunks = 4;
     /** Fleet-wide tracing (DESIGN.md §17): every worker enables its
@@ -91,7 +82,7 @@ std::string mergedTracePath(const std::string &fleet_dir);
  * processes on one host, where the monotonic clock is shared. */
 uint64_t monotonicMs();
 
-/** Write PLAN.json (sealed, temp-file-plus-rename). */
+/** Write PLAN.json (sealed, through corpus::writeFileAtomic). */
 bool writeFleetConfig(const std::string &fleet_dir,
                       const FleetConfig &config,
                       corpus::StoreError *error = nullptr);
@@ -101,14 +92,5 @@ bool writeFleetConfig(const std::string &fleet_dir,
 std::optional<FleetConfig>
 readFleetConfig(const std::string &fleet_dir,
                 corpus::StoreError *error = nullptr);
-
-/** Atomic (temp + rename) small-file write, fleet-file idiom. */
-bool writeFileAtomic(const std::string &path,
-                     const std::string &contents,
-                     corpus::StoreError *error = nullptr);
-
-/** Whole-file read; nullopt + classified @p error on failure. */
-std::optional<std::string>
-readFile(const std::string &path, corpus::StoreError *error = nullptr);
 
 } // namespace dce::fleet

@@ -14,23 +14,9 @@
 
 namespace dce::fleet {
 
+using corpus::setError;
+
 namespace {
-
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
-
-void
-clearError(corpus::StoreError *error)
-{
-    setError(error, corpus::StoreStatus::Ok, "");
-}
 
 /**
  * Liveness by kill(pid, 0). A zombie still "exists" here — which is
@@ -177,7 +163,7 @@ readLease(const std::string &fleet_dir, uint64_t index,
           corpus::StoreError *error)
 {
     std::string path = leasePath(fleet_dir, index);
-    std::optional<std::string> text = readFile(path, error);
+    std::optional<std::string> text = corpus::readWholeFile(path, error);
     if (!text)
         return std::nullopt;
     return decodeLease(*text, error, path);
@@ -187,8 +173,8 @@ bool
 writeLease(const std::string &fleet_dir, const Lease &lease,
            corpus::StoreError *error)
 {
-    return writeFileAtomic(leasePath(fleet_dir, lease.index),
-                           encodeLease(lease), error);
+    return corpus::writeFileAtomic(leasePath(fleet_dir, lease.index),
+                                   encodeLease(lease), error);
 }
 
 std::optional<uint64_t>
@@ -275,7 +261,6 @@ LeaseTable::list(corpus::StoreError *error) const
 
 std::optional<Lease>
 LeaseTable::claim(int64_t pid, const std::string &store,
-                  uint64_t ttl_ms, uint64_t steal_after_ms,
                   corpus::StoreError *error)
 {
     TableLock lock(fleetDir_, error);
@@ -296,9 +281,7 @@ LeaseTable::claim(int64_t pid, const std::string &store,
         } else if (lease->state == LeaseState::Claimed) {
             uint64_t age =
                 now > lease->claimMs ? now - lease->claimMs : 0;
-            runnable = !pidAlive(lease->ownerPid) ||
-                       (ttl_ms && age >= ttl_ms) ||
-                       (steal_after_ms && age >= steal_after_ms);
+            runnable = !pidAlive(lease->ownerPid) || age >= kLeaseTtlMs;
         }
         if (!runnable)
             continue;
@@ -312,10 +295,11 @@ LeaseTable::claim(int64_t pid, const std::string &store,
         lease->stageUs = 0;
         if (!writeLease(fleetDir_, *lease, error))
             return std::nullopt;
-        clearError(error);
+        setError(error, corpus::StoreStatus::Ok, "");
         return lease;
     }
-    clearError(error); // nothing runnable is not a failure
+    // Nothing runnable is not a failure.
+    setError(error, corpus::StoreStatus::Ok, "");
     return std::nullopt;
 }
 
@@ -338,7 +322,7 @@ LeaseTable::complete(const Lease &lease, bool *stolen,
         // our payload would be byte-identical anyway; discard it.
         if (stolen)
             *stolen = true;
-        clearError(error);
+        setError(error, corpus::StoreStatus::Ok, "");
         return true;
     }
     Lease done = lease;

@@ -7,14 +7,14 @@
  * observable half-written.
  *
  * Lifecycle: available → claimed (epoch++) → done. A claimed lease
- * returns to the pool three ways: its owner pid is dead (coordinator
- * reap, or observed dead at claim time), its age exceeded the fleet
- * TTL (backstop for unreapable owners), or a work-stealing claim
- * found it older than stealAfterMs. Every claim increments the epoch,
- * and complete() refuses a payload whose epoch is stale — the fencing
- * that makes a stolen straggler's late completion harmless. (Results
- * are deterministic, so whichever completion wins carries the same
- * bytes; fencing just keeps the authority unambiguous.)
+ * returns to the pool two ways: its owner pid is dead (coordinator
+ * reap, or observed dead at claim time), or its age exceeded
+ * kLeaseTtlMs (backstop for unreapable owners). Every claim increments
+ * the epoch, and complete() refuses a payload whose epoch is stale —
+ * the fencing that keeps a TTL reclaim harmless even when it races a
+ * slow but live owner. (Results are deterministic, so whichever
+ * completion wins carries the same bytes; fencing just keeps the
+ * authority unambiguous.)
  *
  * The done payload carries everything the merge needs from the lease:
  * the campaign.* counter *deltas* its run contributed, the summed
@@ -35,6 +35,11 @@
 namespace dce::fleet {
 
 enum class LeaseState { Available, Claimed, Done };
+
+/** A claimed lease older than this is runnable even if its owner
+ * still looks alive — the crash backstop for owners the coordinator
+ * cannot reap (e.g. after a coordinator restart). */
+constexpr uint64_t kLeaseTtlMs = 120000;
 
 const char *leaseStateName(LeaseState state);
 
@@ -92,13 +97,11 @@ class LeaseTable {
 
     /**
      * Claim the lowest-index runnable lease for (@p pid, @p store):
-     * available, claimed by a dead pid, past the fleet TTL, or —
-     * when @p steal_after_ms > 0 — claimed longer ago than that.
-     * nullopt with error Ok when nothing is runnable right now.
+     * available, claimed by a dead pid, or claimed longer ago than
+     * kLeaseTtlMs. nullopt with error Ok when nothing is runnable
+     * right now.
      */
     std::optional<Lease> claim(int64_t pid, const std::string &store,
-                               uint64_t ttl_ms,
-                               uint64_t steal_after_ms,
                                corpus::StoreError *error = nullptr);
 
     /**

@@ -14,19 +14,7 @@
 
 namespace dce::fleet {
 
-namespace {
-
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
-
-} // namespace
+using corpus::setError;
 
 std::optional<corpus::CheckpointedCampaign>
 mergeFleet(const std::string &fleet_dir, corpus::StoreError *error)

@@ -11,17 +11,9 @@ namespace fs = std::filesystem;
 
 namespace dce::fleet {
 
-namespace {
+using corpus::setError;
 
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
+namespace {
 
 /** Re-serialize a parsed JsonValue. Object members emit in the
  * parser's (sorted) key order — deterministic for identical inputs,
@@ -123,7 +115,7 @@ mergeTraces(const std::string &fleet_dir, const std::string &out_path,
     bool first_event = true;
     uint64_t merged_pid = 0;
     for (const std::string &path : files) {
-        std::optional<std::string> text = readFile(path, error);
+        std::optional<std::string> text = corpus::readWholeFile(path, error);
         if (!text)
             return std::nullopt;
         std::optional<support::JsonValue> doc =
@@ -173,7 +165,7 @@ mergeTraces(const std::string &fleet_dir, const std::string &out_path,
                  "no trace file under " + dir + " parsed cleanly");
         return std::nullopt;
     }
-    if (!writeFileAtomic(out_path, out, error))
+    if (!corpus::writeFileAtomic(out_path, out, error))
         return std::nullopt;
     setError(error, corpus::StoreStatus::Ok, "");
     return result;

@@ -20,6 +20,12 @@ namespace dce::fleet {
 
 namespace {
 
+/** Idle poll cadence while other workers still hold leases. */
+constexpr useconds_t kIdlePollUs = 20 * 1000;
+/** Threads per lease run. A forked worker must not start threads
+ * (see coordinator.hpp); the fleet scales by processes instead. */
+constexpr unsigned kWorkerThreads = 1;
+
 int
 fail(const corpus::StoreError &error, const char *what)
 {
@@ -40,8 +46,8 @@ publishMetrics(const std::string &fleet_dir,
     CounterList counter_list(counters.begin(), counters.end());
     HistogramList hist_list(hists.begin(), hists.end());
     // Best-effort: a failed dump costs one scrape, never the run.
-    writeFileAtomic(workerMetricsPath(fleet_dir, store_name),
-                    encodeRegistryDump(counter_list, hist_list));
+    corpus::writeFileAtomic(workerMetricsPath(fleet_dir, store_name),
+                            encodeRegistryDump(counter_list, hist_list));
 }
 
 } // namespace
@@ -113,8 +119,7 @@ runFleetWorker(const std::string &fleet_dir,
 
     for (;;) {
         std::optional<Lease> lease =
-            table.claim(::getpid(), store_name, config->leaseTtlMs,
-                        config->stealAfterMs, &error);
+            table.claim(::getpid(), store_name, &error);
         if (!lease && !error.ok())
             return fail(error, "claim lease");
         if (!lease) {
@@ -127,7 +132,7 @@ runFleetWorker(const std::string &fleet_dir,
                 all_done &= entry.state == LeaseState::Done;
             if (all_done)
                 break;
-            ::usleep(useconds_t(options.pollMs * 1000));
+            ::usleep(kIdlePollUs);
             continue;
         }
 
@@ -147,7 +152,7 @@ runFleetWorker(const std::string &fleet_dir,
 
         support::MetricsRegistry lease_registry;
         corpus::CheckpointRunOptions run;
-        run.threads = config->workerThreads;
+        run.threads = kWorkerThreads;
         run.checkpointEveryChunks =
             config->workerCheckpointEveryChunks;
         run.metrics = &lease_registry;
@@ -241,8 +246,8 @@ runFleetWorker(const std::string &fleet_dir,
     if (config->trace) {
         // Best-effort like the metrics dump: a lost trace costs the
         // timeline, never the run's exit status.
-        support::Tracer::global().writeJson(
-            workerTracePath(fleet_dir, store_name));
+        corpus::writeFileAtomic(workerTracePath(fleet_dir, store_name),
+                                support::Tracer::global().toJson());
     }
     return 0;
 }

@@ -19,8 +19,6 @@
 namespace dce::fleet {
 
 struct FleetWorkerOptions {
-    /** Idle poll cadence while other workers still hold leases. */
-    uint64_t pollMs = 20;
     /**
      * Crash drill hook: after this many chunk commits in the first
      * lease run, die by SIGKILL *without* completing the lease —

@@ -6,17 +6,9 @@
 
 namespace dce::report {
 
-namespace {
+using corpus::setError;
 
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
+namespace {
 
 /** The value of @p part after @p prefix, or nullopt. */
 std::optional<std::string>

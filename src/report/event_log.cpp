@@ -1,7 +1,8 @@
 #include "report/event_log.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "corpus/store.hpp"
 
 namespace dce::report {
 
@@ -87,24 +88,7 @@ EventLog::toJsonl() const
 bool
 EventLog::write(const std::string &path) const
 {
-    std::string body = toJsonl();
-    std::string tmp = path + ".tmp";
-    std::FILE *file = std::fopen(tmp.c_str(), "wb");
-    if (!file)
-        return false;
-    bool ok =
-        std::fwrite(body.data(), 1, body.size(), file) == body.size();
-    ok = std::fflush(file) == 0 && ok;
-    ok = std::fclose(file) == 0 && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return corpus::writeFileAtomic(path, toJsonl());
 }
 
 } // namespace dce::report

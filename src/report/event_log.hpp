@@ -8,8 +8,8 @@
  *
  * Buffering model: events accumulate in memory for the campaign's
  * lifetime (a full longrun campaign is a few thousand events — the
- * log is per-chunk/per-finding, never per-candidate), and flush()
- * rewrites the whole file through temp-file-plus-rename. Rewriting
+ * log is per-chunk/per-finding, never per-candidate), and write()
+ * rewrites the whole file through corpus::writeFileAtomic. Rewriting
  * instead of appending is what makes mid-run flushes crash-safe *and*
  * the final file schedule-independent: whenever the last flush
  * happened, the file on disk is a deterministically ordered prefix of
@@ -58,8 +58,9 @@ class EventLog : public support::EventSink {
                                      size_t *total = nullptr) const;
 
     /**
-     * Write toJsonl() to @p path via temp-file-plus-rename (the file
-     * is never observable half-written). Safe to call repeatedly —
+     * Write toJsonl() to @p path durably through
+     * corpus::writeFileAtomic (temp file, fsync, rename: the file is
+     * never observable half-written). Safe to call repeatedly —
      * each call rewrites the full deterministic log. False on I/O
      * failure.
      */

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 
 #include "core/triage.hpp"
@@ -13,33 +12,9 @@ namespace fs = std::filesystem;
 
 namespace dce::report {
 
+using corpus::setError;
+
 namespace {
-
-void
-setError(corpus::StoreError *error, corpus::StoreStatus status,
-         std::string message)
-{
-    if (error) {
-        error->status = status;
-        error->message = std::move(message);
-    }
-}
-
-bool
-writeFile(const fs::path &path, const std::string &text,
-          corpus::StoreError *error)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(text.data(),
-              static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) {
-        setError(error, corpus::StoreStatus::IoError,
-                 "write " + path.string() + " failed");
-        return false;
-    }
-    return true;
-}
 
 /** Minimal inline-HTML escaping for the Markdown converter. */
 std::string
@@ -476,13 +451,13 @@ writeCampaignReport(corpus::CorpusStore &store,
     }
 
     std::string markdown = renderCampaignReportMarkdown(*data);
-    fs::path dir(out_dir);
-    if (!writeFile(dir / "report.md", markdown, error))
+    const std::string dir = out_dir + "/";
+    if (!corpus::writeFileAtomic(dir + "report.md", markdown, error))
         return false;
     if (options.html &&
-        !writeFile(dir / "report.html",
-                   markdownToHtml(markdown, "Campaign report"),
-                   error))
+        !corpus::writeFileAtomic(dir + "report.html",
+                                 markdownToHtml(markdown, "Campaign report"),
+                                 error))
         return false;
 
     if (options.dossiers) {
@@ -497,10 +472,10 @@ writeCampaignReport(corpus::CorpusStore &store,
             if (!dossier)
                 return false;
             std::string name = "finding-" + std::to_string(i);
-            if (!writeFile(dir / (name + ".md"),
-                           dossierMarkdown(*dossier), error) ||
-                !writeFile(dir / (name + ".json"),
-                           dossierJson(*dossier), error))
+            if (!corpus::writeFileAtomic(dir + name + ".md",
+                                         dossierMarkdown(*dossier), error) ||
+                !corpus::writeFileAtomic(dir + name + ".json",
+                                         dossierJson(*dossier), error))
                 return false;
         }
     }

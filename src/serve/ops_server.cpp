@@ -123,6 +123,12 @@ OpsServer::stop()
     http_.stop();
 }
 
+void
+OpsServer::attachStore(corpus::CorpusStore *store)
+{
+    store_.store(store, std::memory_order_release);
+}
+
 bool
 OpsServer::shutdownRequested() const
 {
@@ -306,11 +312,12 @@ OpsServer::progressEndpoint() const
 HttpResponse
 OpsServer::reportEndpoint(bool html) const
 {
-    if (!options_.store)
+    corpus::CorpusStore *store = store_.load(std::memory_order_acquire);
+    if (!store)
         return HttpResponse::text(404, "no store attached\n");
     corpus::StoreError error;
     std::optional<report::CampaignReportData> data =
-        report::collectReportData(*options_.store, &error);
+        report::collectReportData(*store, &error);
     if (!data)
         return storeFailure(error);
     // Exactly the writeCampaignReport render paths, so the served
@@ -333,13 +340,13 @@ OpsServer::reportEndpoint(bool html) const
 HttpResponse
 OpsServer::equivEndpoint() const
 {
-    if (!options_.store)
+    corpus::CorpusStore *store = store_.load(std::memory_order_acquire);
+    if (!store)
         return HttpResponse::text(404, "no store attached\n");
     // The stored line is already sealed JSON — serve it verbatim, so
     // the served bytes equal equiv.json on disk (same contract as
     // /report vs report.md).
-    std::optional<std::string> line =
-        options_.store->readEquivState();
+    std::optional<std::string> line = store->readEquivState();
     if (!line)
         return HttpResponse::text(404, "no metamorphic analysis\n");
     return jsonResponse(200, *line + "\n");
@@ -348,11 +355,12 @@ OpsServer::equivEndpoint() const
 HttpResponse
 OpsServer::dossierIndexEndpoint() const
 {
-    if (!options_.store)
+    corpus::CorpusStore *store = store_.load(std::memory_order_acquire);
+    if (!store)
         return HttpResponse::text(404, "no store attached\n");
     corpus::StoreError error;
     std::optional<report::CampaignReportData> data =
-        report::collectReportData(*options_.store, &error);
+        report::collectReportData(*store, &error);
     if (!data)
         return storeFailure(error);
 
@@ -382,7 +390,8 @@ OpsServer::dossierIndexEndpoint() const
 HttpResponse
 OpsServer::dossierEndpoint(const HttpRequest &request) const
 {
-    if (!options_.store)
+    corpus::CorpusStore *store = store_.load(std::memory_order_acquire);
+    if (!store)
         return HttpResponse::text(404, "no store attached\n");
     std::string fingerprint =
         request.path.substr(std::string_view("/dossier/").size());
@@ -397,7 +406,7 @@ OpsServer::dossierEndpoint(const HttpRequest &request) const
 
     corpus::StoreError error;
     std::optional<report::Dossier> dossier = report::buildDossier(
-        *options_.store, options_.events, fingerprint, &error);
+        *store, options_.events, fingerprint, &error);
     if (!dossier) {
         if (error.status == corpus::StoreStatus::NotFound)
             return HttpResponse::text(

@@ -37,6 +37,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -82,10 +83,6 @@ struct OpsServerOptions {
     /** Registry behind /metrics and the serve.* counters; null = the
      * process global. */
     support::MetricsRegistry *metrics = nullptr;
-    /** Store behind /report, /dossiers, /dossier; null disables those
-     * endpoints (404). The store is shared with the running campaign —
-     * its own mutex makes the reads safe. */
-    corpus::CorpusStore *store = nullptr;
     /** Event log behind /events and dossier trajectories; null
      * disables /events (404). */
     const report::EventLog *events = nullptr;
@@ -123,6 +120,16 @@ class OpsServer {
     void stop();
     uint16_t port() const { return http_.port(); }
 
+    /**
+     * Serve @p store behind /report, /report.html, /equiv, /dossiers
+     * and /dossier; until a store is attached (or after null is) those
+     * endpoints answer 404. Valid before or after start(), so a fleet
+     * can attach its merged store once the merge has opened it. The
+     * store is shared with the running campaign — its own mutex makes
+     * the reads safe — and must outlive the server or be detached.
+     */
+    void attachStore(corpus::CorpusStore *store);
+
     /** True once /quitquitquit has been hit (sticky). */
     bool shutdownRequested() const;
     /** Block until shutdownRequested(); @p timeout_ms 0 = forever.
@@ -147,6 +154,7 @@ class OpsServer {
     HttpResponse quitEndpoint();
 
     OpsServerOptions options_;
+    std::atomic<corpus::CorpusStore *> store_{nullptr};
     HttpServer http_;
 
     mutable std::mutex shutdownMutex_;

@@ -48,7 +48,8 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
     corpus::CampaignPlan pinned = plan;
     // One store handle for the whole process: the campaign writes
     // through it while /report and /dossier read through it (the store
-    // is mutex-guarded). A fleet opens its merged store after the run.
+    // is mutex-guarded). A fleet opens its merged store after the run
+    // and attaches it then, so a --serve-wait hold serves the merge.
     std::unique_ptr<corpus::CorpusStore> store;
     std::unique_ptr<fleet::FleetCoordinator> coordinator;
     if (o.fleetWorkers > 0) {
@@ -104,12 +105,13 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
     liveness.start();
     serve::OpsServer ops({.port = o.servePort,
                           .metrics = &registry,
-                          .store = store.get(),
                           .events = coordinator ? nullptr : &log,
                           .status = coordinator ? nullptr : &board,
                           .allowRemoteShutdown = o.serveWait,
                           .fleet = coordinator.get(),
                           .liveness = &liveness});
+    // Null under --fleet: the merged store is attached once it opens.
+    ops.attachStore(store.get());
     std::string serve_error;
     if (o.serve && !ops.start(&serve_error))
         return complain("serve: " + serve_error);
@@ -127,9 +129,9 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
         if (!o.tracePath.empty() && !ran->mergedTracePath.empty() &&
             ran->mergedTracePath != o.tracePath) {
             std::optional<std::string> bytes =
-                fleet::readFile(ran->mergedTracePath, error);
+                corpus::readWholeFile(ran->mergedTracePath, error);
             if (!bytes ||
-                !fleet::writeFileAtomic(o.tracePath, *bytes, error))
+                !corpus::writeFileAtomic(o.tracePath, *bytes, error))
                 return fail(*error);
         }
         store = corpus::CorpusStore::open(
@@ -137,6 +139,7 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
             {.createIfMissing = false, .metrics = &registry});
         if (!store)
             return fail(*error);
+        ops.attachStore(store.get());
         if (o.latencyReport)
             coordinator->mergeWorkerMetrics(worker_metrics);
         result = std::move(ran->merged);
@@ -152,7 +155,8 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
                                          error);
         liveness.stop();
         if (!o.tracePath.empty() &&
-            !support::Tracer::global().writeJson(o.tracePath))
+            !corpus::writeFileAtomic(o.tracePath,
+                                     support::Tracer::global().toJson()))
             return complain("writing trace " + o.tracePath + " failed");
         if (!result)
             return fail(*error);

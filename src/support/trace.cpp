@@ -1,7 +1,6 @@
 #include "support/trace.hpp"
 
 #include <chrono>
-#include <fstream>
 
 #include "support/json.hpp"
 
@@ -144,18 +143,6 @@ Tracer::toJson() const
     }
     out += "]}";
     return out;
-}
-
-bool
-Tracer::writeJson(const std::string &path) const
-{
-    std::ofstream file(path, std::ios::binary);
-    if (!file)
-        return false;
-    std::string json = toJson();
-    file.write(json.data(),
-               static_cast<std::streamsize>(json.size()));
-    return static_cast<bool>(file);
 }
 
 } // namespace dce::support

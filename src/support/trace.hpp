@@ -90,9 +90,6 @@ public:
      */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; returns false on I/O failure. */
-    bool writeJson(const std::string &path) const;
-
     /** Stable small id for the calling thread (one timeline lane). */
     static uint32_t currentThreadId();
 

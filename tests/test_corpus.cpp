@@ -248,7 +248,7 @@ sealedSamples()
     EXPECT_TRUE(fleet::LeaseTable::init(dir.str(), 4, 2));
     fleet::LeaseTable table(dir.str());
     std::optional<fleet::Lease> lease =
-        table.claim(::getpid(), "worker.0", 60'000, 0);
+        table.claim(::getpid(), "worker.0");
     EXPECT_TRUE(lease);
     if (lease) {
         lease->counters = {{"campaign.seeds_done", 16}};
@@ -401,6 +401,51 @@ TEST(Serialize, VerdictsRoundTrip)
     EXPECT_EQ(back->signature, verdict.signature);
     EXPECT_EQ(back->fixed, verdict.fixed);
     EXPECT_EQ(back->reductionTests, verdict.reductionTests);
+}
+
+//===------------------------------------------------------------------===//
+// File layer
+//===------------------------------------------------------------------===//
+
+TEST(FileLayer, OverwriteLeavesTheNewBytesAndNoTempFile)
+{
+    TempDir dir("overwrite");
+    fs::create_directories(dir.str());
+    const std::string path = dir.str() + "/report.md";
+    StoreError error;
+    ASSERT_TRUE(writeFileAtomic(path, "old contents, longer\n", &error))
+        << error.message;
+    ASSERT_TRUE(writeFileAtomic(path, "new\n", &error)) << error.message;
+    EXPECT_TRUE(error.ok());
+    EXPECT_EQ(readFile(path), "new\n");
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    std::optional<std::string> back = readWholeFile(path, &error);
+    ASSERT_TRUE(back) << error.message;
+    EXPECT_EQ(*back, "new\n");
+}
+
+TEST(FileLayer, WriteIntoAMissingDirectoryIsAnIoErrorAndLeavesNoFile)
+{
+    TempDir dir("nodir");
+    const std::string path = dir.str() + "/missing/report.md";
+    StoreError error;
+    EXPECT_FALSE(writeFileAtomic(path, "bytes", &error));
+    EXPECT_EQ(error.status, StoreStatus::IoError);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    // The error channel is optional.
+    EXPECT_FALSE(writeFileAtomic(path, "bytes"));
+}
+
+TEST(FileLayer, ReadingAMissingFileIsNotFound)
+{
+    TempDir dir("noread");
+    fs::create_directories(dir.str());
+    StoreError error;
+    EXPECT_FALSE(readWholeFile(dir.str() + "/absent.json", &error));
+    EXPECT_EQ(error.status, StoreStatus::NotFound);
+    EXPECT_NE(error.message.find("absent.json"), std::string::npos);
+    EXPECT_FALSE(readWholeFile(dir.str() + "/absent.json"));
 }
 
 //===------------------------------------------------------------------===//

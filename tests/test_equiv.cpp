@@ -578,8 +578,8 @@ TEST(EquivServe, EquivEndpointServesSealedStateOr404)
     support::MetricsRegistry registry;
     serve::OpsServerOptions options;
     options.metrics = &registry;
-    options.store = store.get();
     serve::OpsServer server(options);
+    server.attachStore(store.get());
 
     serve::HttpRequest request;
     request.method = "GET";

@@ -137,14 +137,14 @@ TEST(Fleet, LeaseTableClaimsInOrderAndCompletes)
     EXPECT_EQ((*leases)[2].endChunk, 6u);
 
     std::optional<Lease> first =
-        table.claim(::getpid(), "worker.0", 0, 0, &error);
+        table.claim(::getpid(), "worker.0", &error);
     ASSERT_TRUE(first) << error.message;
     EXPECT_EQ(first->index, 0u);
     EXPECT_EQ(first->epoch, 1u);
 
     // A second claimant skips our live claim and gets the next lease.
     std::optional<Lease> second =
-        table.claim(::getpid(), "worker.1", 0, 0, &error);
+        table.claim(::getpid(), "worker.1", &error);
     ASSERT_TRUE(second) << error.message;
     EXPECT_EQ(second->index, 1u);
 
@@ -181,14 +181,14 @@ TEST(Fleet, DeadOwnerLeaseIsStolenAndStaleCompletionFenced)
     ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
 
     std::optional<Lease> stale =
-        table.claim(int64_t(dead), "worker.dead", 0, 0, &error);
+        table.claim(int64_t(dead), "worker.dead", &error);
     ASSERT_TRUE(stale) << error.message;
     EXPECT_EQ(stale->epoch, 1u);
 
     // The dead owner's lease is immediately claimable; the steal
     // bumps the epoch.
     std::optional<Lease> stolen_lease =
-        table.claim(::getpid(), "worker.live", 0, 0, &error);
+        table.claim(::getpid(), "worker.live", &error);
     ASSERT_TRUE(stolen_lease) << error.message;
     EXPECT_EQ(stolen_lease->index, stale->index);
     EXPECT_EQ(stolen_lease->epoch, 2u);
@@ -221,9 +221,9 @@ TEST(Fleet, ReclaimOwnedByReturnsOnlyThatPidsLeases)
     corpus::StoreError error;
     ASSERT_TRUE(LeaseTable::init(dir.str(), 4, 1, &error));
     LeaseTable table(dir.str());
-    ASSERT_TRUE(table.claim(1, "worker.a", 0, 0, &error));
-    ASSERT_TRUE(table.claim(1, "worker.a", 0, 0, &error));
-    ASSERT_TRUE(table.claim(::getpid(), "worker.b", 0, 0, &error));
+    ASSERT_TRUE(table.claim(1, "worker.a", &error));
+    ASSERT_TRUE(table.claim(1, "worker.a", &error));
+    ASSERT_TRUE(table.claim(::getpid(), "worker.b", &error));
 
     std::optional<size_t> reclaimed =
         table.reclaimOwnedBy(1, &error);
@@ -349,6 +349,47 @@ TEST(Fleet, FleetDirPinsItsPlan)
     FleetCoordinator mismatched(dir.str(), other, options);
     EXPECT_FALSE(mismatched.run(&error));
     EXPECT_EQ(error.status, corpus::StoreStatus::PlanMismatch);
+}
+
+TEST(Fleet, OlderPlanJsonWithRetiredKeysReadsAndResumes)
+{
+    // fleetPlan() with 2-chunk leases, as written before lease_ttl_ms,
+    // steal_after_ms and worker_threads became constants.
+    const std::string older_plan_json =
+        R"({"version":1,"plan":{"firstSeed":0,"count":18,"random":true,)"
+        R"("stream":2024,"chunk":3,"builds":[{"compiler":"alpha",)"
+        R"("level":"O3","commit":"head"},{"compiler":"beta",)"
+        R"("level":"O3","commit":"head"}],"primary":true,)"
+        R"("remarks":true,"gen":{"globals":10,"helpers":3,"stmts":5,)"
+        R"("depth":3,"expr":3,"trip":12,"bias":60},"by":0,"ref":1,)"
+        R"("maxFindings":4294967295},"lease_chunks":2,)"
+        R"("lease_ttl_ms":120000,"steal_after_ms":0,"worker_threads":1,)"
+        R"("worker_checkpoint_every_chunks":1,"trace":false,)"
+        R"("snapshot_interval_ms":0,"c":"3fe23e48"})"
+        "\n";
+    TempDir dir("older");
+    ASSERT_TRUE(corpus::writeFileAtomic(planPath(dir.str()),
+                                        older_plan_json));
+    corpus::StoreError error;
+    std::optional<FleetConfig> config = readFleetConfig(dir.str(), &error);
+    ASSERT_TRUE(config) << error.message;
+    EXPECT_EQ(corpus::serializePlan(config->plan),
+              corpus::serializePlan(fleetPlan()));
+    EXPECT_EQ(config->leaseChunks, 2u);
+    EXPECT_EQ(config->workerCheckpointEveryChunks, 1u);
+
+    TempDir ref("ref");
+    std::string reference_summary, reference_report;
+    runReference(ref.str(), reference_summary, reference_report);
+    FleetOptions options;
+    options.workers = 2;
+    FleetCoordinator coordinator(dir.str(), fleetPlan(), options);
+    std::optional<FleetResult> result = coordinator.run(&error);
+    ASSERT_TRUE(result) << error.message;
+    EXPECT_EQ(result->leases, 3u); // the file's geometry, not auto
+    EXPECT_EQ(corpus::summaryText(result->merged), reference_summary);
+    EXPECT_EQ(renderMergedReport(result->mergedStoreDir),
+              reference_report);
 }
 
 TEST(Fleet, MergeRefusesAnIncompleteFleet)

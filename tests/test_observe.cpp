@@ -643,7 +643,7 @@ writeTrace(const std::string &fleet_dir, const std::string &file,
         support::TraceSpan guard(span, "fleet", tracer);
     }
     fs::create_directories(fleet::tracesDir(fleet_dir));
-    ASSERT_TRUE(fleet::writeFileAtomic(
+    ASSERT_TRUE(corpus::writeFileAtomic(
         fleet::tracesDir(fleet_dir) + "/" + file, tracer.toJson()));
 }
 
@@ -655,7 +655,7 @@ TEST(ObserveTraceMerge, RemapsPidsDeterministically)
     writeTrace(dir.str(), "coordinator.trace.json", 9999,
                "fleet-coordinator", "supervise");
     // A truncated file (SIGKILLed worker) is skipped, not fatal.
-    ASSERT_TRUE(fleet::writeFileAtomic(
+    ASSERT_TRUE(corpus::writeFileAtomic(
         fleet::tracesDir(dir.str()) + "/worker.2.trace.json",
         "{\"traceEvents\":[{\"na"));
 
@@ -667,7 +667,7 @@ TEST(ObserveTraceMerge, RemapsPidsDeterministically)
     EXPECT_EQ(result->files, 2u);
     EXPECT_EQ(result->events, 2u); // one span per parsed file
 
-    std::optional<std::string> merged = fleet::readFile(out);
+    std::optional<std::string> merged = corpus::readWholeFile(out);
     ASSERT_TRUE(merged);
     std::optional<support::JsonValue> doc =
         support::JsonValue::parse(*merged);
@@ -706,7 +706,7 @@ TEST(ObserveTraceMerge, RemapsPidsDeterministically)
     std::string out2 = dir.str() + "/again.json";
     ASSERT_TRUE(fleet::mergeTraces(dir.str(), out2, &error))
         << error.message;
-    EXPECT_EQ(*fleet::readFile(out), *fleet::readFile(out2));
+    EXPECT_EQ(*corpus::readWholeFile(out), *corpus::readWholeFile(out2));
 }
 
 TEST(ObserveTraceMerge, MissingOrUnparseableInputsAreClassified)
@@ -721,7 +721,7 @@ TEST(ObserveTraceMerge, MissingOrUnparseableInputsAreClassified)
     // A traces/ directory with only corrupt files: Corrupt, and no
     // output is written.
     fs::create_directories(fleet::tracesDir(dir.str()));
-    ASSERT_TRUE(fleet::writeFileAtomic(
+    ASSERT_TRUE(corpus::writeFileAtomic(
         fleet::tracesDir(dir.str()) + "/bad.trace.json", "not json"));
     EXPECT_FALSE(fleet::mergeTraces(
         dir.str(), dir.str() + "/out.json", &error));
@@ -770,7 +770,7 @@ TEST(ObserveFleet, TracedFleetMergesTimelineAndStaysByteIdentical)
               fleet::mergedTracePath(fleet_dir.str()));
     EXPECT_EQ(result->traceFiles, 3u);
     std::optional<std::string> merged_trace =
-        fleet::readFile(result->mergedTracePath);
+        corpus::readWholeFile(result->mergedTracePath);
     ASSERT_TRUE(merged_trace);
     std::optional<support::JsonValue> trace_doc =
         support::JsonValue::parse(*merged_trace);
@@ -788,7 +788,7 @@ TEST(ObserveFleet, TracedFleetMergesTimelineAndStaysByteIdentical)
         if (!entry.is_directory() || !fs::exists(jsonl))
             continue;
         worker_snapshots = true;
-        std::optional<std::string> text = fleet::readFile(jsonl.string());
+        std::optional<std::string> text = corpus::readWholeFile(jsonl.string());
         ASSERT_TRUE(text && !text->empty());
         size_t begin = 0;
         uint64_t lines = 0;

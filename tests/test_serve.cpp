@@ -497,10 +497,10 @@ struct ServedCampaign {
 
         OpsServerOptions options;
         options.metrics = &registry;
-        options.store = store.get();
         options.events = &log;
         options.status = &board;
         ops = std::make_unique<OpsServer>(options);
+        ops->attachStore(store.get());
     }
 
     HttpResponse
@@ -545,6 +545,41 @@ TEST(ServeOps, ReportEndpointMatchesOnDiskReport)
     ASSERT_EQ(html.status, 200);
     EXPECT_EQ(html.contentType, "text/html; charset=utf-8");
     EXPECT_EQ(html.body, readFile(out.str() + "/report.html"));
+}
+
+TEST(ServeOps, StoreAttachedAfterStartServesTheReport)
+{
+    // The fleet shape: the server is up before the merged store exists,
+    // and the store is attached once the merge has opened it.
+    TempDir dir("attach");
+    TempDir out("attach_out");
+    support::MetricsRegistry registry;
+    OpsServerOptions options;
+    options.metrics = &registry;
+    OpsServer ops(options);
+    std::string start_error;
+    ASSERT_TRUE(ops.start(&start_error)) << start_error;
+    HttpRequest request;
+    request.path = "/report";
+    EXPECT_EQ(ops.handle(request).status, 404);
+
+    corpus::OpenOptions open_options;
+    open_options.metrics = &registry;
+    corpus::StoreError error;
+    std::unique_ptr<corpus::CorpusStore> store =
+        corpus::CorpusStore::open(dir.str(), &error, open_options);
+    ASSERT_TRUE(store) << error.message;
+    corpus::CheckpointRunOptions run;
+    run.metrics = &registry;
+    ASSERT_TRUE(corpus::runCheckpointed(*store, smallPlan(), run, &error))
+        << error.message;
+    ops.attachStore(store.get());
+
+    ASSERT_TRUE(report::writeCampaignReport(*store, out.str(), {}, &error))
+        << error.message;
+    HttpResponse markdown = ops.handle(request);
+    ASSERT_EQ(markdown.status, 200);
+    EXPECT_EQ(markdown.body, readFile(out.str() + "/report.md"));
 }
 
 TEST(ServeOps, DossierAndEventsEndpoints)
