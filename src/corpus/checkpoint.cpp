@@ -61,26 +61,29 @@ encodeCheckpointJson(
     return support::sealJsonLine(writer.take());
 }
 
-namespace {
+uint64_t
+CampaignPlan::numChunks() const
+{
+    const uint64_t chunk_size = std::max(1u, chunkSize);
+    return (count + chunk_size - 1) / chunk_size;
+}
 
-/**
- * Raise counter `name{label}` to @p target (monotonic set-to-value).
- * The campaign.progress gauges ride the counter machinery so the
- * checkpoint serializer (which persists every campaign.* counter) and
- * resume restore them for free; because each target — committed
- * chunks, watermark, committed seeds, findings — only ever grows and
- * has a schedule-independent final value, bump-to keeps the restored
- * summary byte-identical across kill/resume schedules.
- */
 void
 bumpCounterTo(support::MetricsRegistry &registry,
               std::string_view name, std::string_view label,
               uint64_t target)
 {
+    // Each progress target — committed chunks, watermark, committed
+    // seeds, findings — only ever grows and has a schedule-independent
+    // final value, and the checkpoint serializer persists every
+    // campaign.* counter, so bump-to keeps the restored summary
+    // byte-identical across kill/resume schedules.
     uint64_t current = registry.counterValue(name, label);
     if (target > current)
         registry.counter(name, label).add(target - current);
 }
+
+namespace {
 
 std::optional<CheckpointState>
 parseCheckpoint(std::string_view text)
@@ -244,8 +247,7 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
 
     const std::string plan_json = serializePlan(plan);
     const uint64_t chunk_size = std::max(1u, plan.chunkSize);
-    const uint64_t num_chunks =
-        (plan.count + chunk_size - 1) / chunk_size;
+    const uint64_t num_chunks = plan.numChunks();
 
     StoreError err;
 
@@ -414,43 +416,6 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
     uint64_t checkpoints_written = 0;
     StoreError run_error;
 
-    // Live status board (DESIGN.md §14). Publishes are confined to
-    // run start/end and checkpoint commits — already serialized
-    // points — so a null board costs nothing on the hot path and a
-    // live one costs one snapshot per checkpoint.
-    auto steady_us = [] {
-        return uint64_t(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    };
-    const uint64_t run_start_us = steady_us();
-    auto publish_status = [&](bool active_now) {
-        if (!options.status)
-            return;
-        CampaignStatusBoard::Snapshot snap;
-        snap.active = active_now;
-        snap.complete = completed.size() == num_chunks;
-        snap.planHash = support::fnv1a64Hex(plan_json);
-        snap.seedsTotal = plan.count;
-        snap.chunksTotal = num_chunks;
-        snap.completedChunks = completed.size();
-        snap.watermark = watermark;
-        snap.seedsCommitted = seeds_done;
-        snap.findings = findings_total;
-        snap.checkpoints = checkpoints_written;
-        snap.startUs = run_start_us;
-        snap.updateUs = steady_us();
-        for (const auto &[key, hist] : registry.histograms())
-            if (key.rfind("campaign.stage_us", 0) == 0)
-                snap.stageUs += hist.sum;
-        snap.cacheHits = registry.counterValue("campaign.cache_hits");
-        snap.cacheMisses =
-            registry.counterValue("campaign.cache_misses");
-        options.status->publish(snap);
-    };
-    publish_status(true); // the restored (possibly empty) baseline
-
     support::ThreadPool pool(options.threads);
     pool.forChunks(
         plan.count, chunk_size, [&](size_t begin, size_t end) {
@@ -552,8 +517,9 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
             if (since_checkpoint >= options.checkpointEveryChunks ||
                 completed.size() >= target_chunks) {
                 // Set the progress gauges before the checkpoint JSON
-                // is built so the durable checkpoint, /metrics, and
-                // /progress all carry the same committed numbers.
+                // is built so the durable checkpoint and the live
+                // registry (/metrics, /progress) carry the same
+                // committed numbers.
                 bumpCounterTo(registry, "campaign.progress",
                               "completed_chunks", completed.size());
                 bumpCounterTo(registry, "campaign.progress",
@@ -572,7 +538,6 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
                 }
                 since_checkpoint = 0;
                 ++checkpoints_written;
-                publish_status(true);
                 if (events) {
                     // Commits are serialized, so checkpoint k always
                     // lands after loaded + k*cadence commits — the
@@ -597,7 +562,6 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
         setError(error, run_error.status, run_error.message);
         return std::nullopt;
     }
-    publish_status(false); // detach: final committed state, inactive
 
     result.resumed = have_ckpt;
     result.completed = completed.size() == num_chunks;

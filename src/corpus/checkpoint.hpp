@@ -27,10 +27,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -68,6 +68,9 @@ struct CampaignPlan {
     size_t missedByBuild = SIZE_MAX;
     size_t referenceBuild = SIZE_MAX;
     unsigned maxFindings = UINT_MAX;
+
+    /** Chunks covering the plan (a chunkSize of 0 counts as 1). */
+    uint64_t numChunks() const;
 };
 
 /** Canonical JSON form of @p plan (checkpoint field / equality). */
@@ -75,60 +78,16 @@ std::string serializePlan(const CampaignPlan &plan);
 std::optional<CampaignPlan> readPlan(const support::JsonValue &value);
 
 /**
- * Thread-safe snapshot of a checkpointed campaign's committed
- * progress, published by runCheckpointed at each checkpoint commit
- * (plus once at start with the restored state and once at the end).
- * The live ops server's /progress endpoint reads it (DESIGN.md §14).
- *
- * The board deliberately carries *checkpoint-committed* state only —
- * it is updated at the same instant the campaign.progress counters
- * are set, just before the checkpoint JSON is built, so /progress,
- * /metrics, and the durable checkpoint all name the same numbers.
- * Chunks committed to the store after the latest checkpoint are not
- * reflected until the next one.
+ * Raise counter `name{label}` in @p registry to @p target (monotonic
+ * set-to-value; a lower target is a no-op). The campaign.progress
+ * gauges ride the counter machinery: runCheckpointed sets them at each
+ * checkpoint and the fleet coordinator at each lease scan, and they
+ * are the registry's live progress that /metrics and /progress read
+ * (DESIGN.md §14).
  */
-class CampaignStatusBoard {
-  public:
-    struct Snapshot {
-        bool active = false;   ///< a run is currently attached
-        bool complete = false; ///< every chunk committed
-        std::string planHash;  ///< fnv1a64Hex(serializePlan(plan))
-        uint64_t seedsTotal = 0;
-        uint64_t chunksTotal = 0;
-        uint64_t completedChunks = 0;
-        uint64_t watermark = 0; ///< contiguous completed-chunk prefix
-        uint64_t seedsCommitted = 0;
-        uint64_t findings = 0;
-        uint64_t checkpoints = 0; ///< written this run
-        uint64_t startUs = 0;  ///< steady-clock µs at run start
-        uint64_t updateUs = 0; ///< steady-clock µs at this publish
-        /** Σ campaign.stage_us{*} sums at publish — the committed
-         * pipeline microseconds behind the seeds/s rate. */
-        uint64_t stageUs = 0;
-        /** campaign.cache_hits / campaign.cache_misses at publish —
-         * the inputs to the cache-hit-rate time series. */
-        uint64_t cacheHits = 0;
-        uint64_t cacheMisses = 0;
-    };
-
-    void
-    publish(const Snapshot &snapshot)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        snapshot_ = snapshot;
-    }
-
-    Snapshot
-    read() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return snapshot_;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    Snapshot snapshot_;
-};
+void bumpCounterTo(support::MetricsRegistry &registry,
+                   std::string_view name, std::string_view label,
+                   uint64_t target);
 
 struct CheckpointRunOptions {
     /** Worker threads; 1 = serial, 0 = one per hardware thread.
@@ -155,13 +114,6 @@ struct CheckpointRunOptions {
      * thread counts. Null = no events.
      */
     support::EventSink *events = nullptr;
-    /**
-     * Live progress board (DESIGN.md §14): published at run start
-     * (with the restored state), at each checkpoint commit, and at
-     * run end. Null = no publishing — the campaign hot path is
-     * untouched when nothing is serving.
-     */
-    CampaignStatusBoard *status = nullptr;
     /**
      * Restrict this run to the chunks the filter accepts — how a
      * fleet worker runs exactly its leased chunk range against its

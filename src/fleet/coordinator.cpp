@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
@@ -16,7 +15,6 @@
 #include "fleet/metrics_io.hpp"
 #include "fleet/trace_merge.hpp"
 #include "fleet/worker.hpp"
-#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/trace.hpp"
 
@@ -30,15 +28,6 @@ namespace {
 constexpr unsigned kMaxRespawns = 8;
 /** Supervision loop poll cadence (SIGCHLD wakes it early). */
 constexpr int kSupervisePollMs = 50;
-
-uint64_t
-steadyUs()
-{
-    return uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 // SIGCHLD self-pipe: the handler only writes one byte, the
 // supervision loop polls the read end, so child exits cut the poll
@@ -96,7 +85,6 @@ FleetCoordinator::initFleetDir(corpus::StoreError *error)
     config.workerCheckpointEveryChunks =
         options_.workerCheckpointEveryChunks;
     config.trace = options_.trace;
-    config.snapshotIntervalMs = options_.snapshotIntervalMs;
     if (options_.leaseChunks) {
         config.leaseChunks = options_.leaseChunks;
     } else {
@@ -104,7 +92,7 @@ FleetCoordinator::initFleetDir(corpus::StoreError *error)
         // fine enough that a straggler leaves work for idle workers.
         uint64_t workers = options_.workers ? options_.workers : 1;
         config.leaseChunks =
-            std::max<uint64_t>(1, config.numChunks() / (workers * 4));
+            std::max<uint64_t>(1, config.plan.numChunks() / (workers * 4));
     }
 
     corpus::StoreError read_error;
@@ -136,7 +124,7 @@ FleetCoordinator::initFleetDir(corpus::StoreError *error)
         tracer.setEnabled(true);
         tracer.setProcess(uint64_t(::getpid()), "fleet-coordinator");
     }
-    return LeaseTable::init(fleetDir_, config_.numChunks(),
+    return LeaseTable::init(fleetDir_, config_.plan.numChunks(),
                             config_.leaseChunks, error);
 }
 
@@ -200,7 +188,6 @@ FleetCoordinator::run(corpus::StoreError *error)
 {
     if (!initFleetDir(error))
         return std::nullopt;
-    startUs_ = steadyUs();
 
     int pipe_fds[2] = {-1, -1};
     if (::pipe(pipe_fds) != 0) {
@@ -314,7 +301,7 @@ FleetCoordinator::run(corpus::StoreError *error)
         all_done = true;
         for (const Lease &lease : *leases)
             all_done &= lease.state == LeaseState::Done;
-        refreshBoard(*leases, !all_done);
+        recordScan(*leases);
 
         // Respawn after the lease scan so a crash with everything
         // already done doesn't spawn a worker with nothing to do.
@@ -394,54 +381,41 @@ FleetCoordinator::run(corpus::StoreError *error)
 }
 
 void
-FleetCoordinator::refreshBoard(const std::vector<Lease> &leases,
-                               bool active)
+FleetCoordinator::recordScan(const std::vector<Lease> &leases)
 {
-    const uint64_t chunk_size =
-        plan_.chunkSize ? plan_.chunkSize : 1;
-    const uint64_t num_chunks = config_.numChunks();
-    corpus::CampaignStatusBoard::Snapshot snap;
-    snap.active = active;
-    snap.planHash = support::fnv1a64Hex(planJson_);
-    snap.seedsTotal = plan_.count;
-    snap.chunksTotal = num_chunks;
-    std::vector<char> done(num_chunks, 0);
-    for (const Lease &lease : leases) {
-        if (lease.state != LeaseState::Done)
-            continue;
-        ++snap.checkpoints; // done leases ≙ durable commits
-        snap.findings += lease.findings.size();
-        snap.stageUs += lease.stageUs;
-        for (const auto &[key, value] : lease.counters) {
-            if (key == "campaign.cache_hits")
-                snap.cacheHits += value;
-            else if (key == "campaign.cache_misses")
-                snap.cacheMisses += value;
+    if (options_.metrics) {
+        // The gauges runCheckpointed sets at a checkpoint, for the
+        // whole fleet: done leases are its committed work.
+        const uint64_t chunk_size = std::max(1u, plan_.chunkSize);
+        const uint64_t num_chunks = config_.plan.numChunks();
+        std::vector<char> done(num_chunks, 0);
+        uint64_t completed = 0, watermark = 0, seeds = 0, findings = 0;
+        for (const Lease &lease : leases) {
+            if (lease.state != LeaseState::Done)
+                continue;
+            findings += lease.findings.size();
+            for (uint64_t chunk = lease.beginChunk;
+                 chunk < lease.endChunk && chunk < num_chunks; ++chunk) {
+                done[chunk] = 1;
+                ++completed;
+                seeds += std::min<uint64_t>(
+                    chunk_size, plan_.count - chunk * chunk_size);
+            }
         }
-        for (uint64_t chunk = lease.beginChunk;
-             chunk < lease.endChunk && chunk < num_chunks; ++chunk) {
-            done[chunk] = 1;
-            ++snap.completedChunks;
-            uint64_t begin = chunk * chunk_size;
-            uint64_t end =
-                std::min<uint64_t>(begin + chunk_size, plan_.count);
-            snap.seedsCommitted += end - begin;
-        }
+        while (watermark < num_chunks && done[watermark])
+            ++watermark;
+        support::MetricsRegistry &registry = *options_.metrics;
+        corpus::bumpCounterTo(registry, "campaign.progress",
+                              "completed_chunks", completed);
+        corpus::bumpCounterTo(registry, "campaign.progress", "watermark",
+                              watermark);
+        corpus::bumpCounterTo(registry, "campaign.progress",
+                              "seeds_committed", seeds);
+        corpus::bumpCounterTo(registry, "campaign.progress", "findings",
+                              findings);
     }
-    while (snap.watermark < num_chunks && done[snap.watermark])
-        ++snap.watermark;
-    snap.complete = snap.completedChunks == num_chunks;
-    snap.startUs = startUs_;
-    snap.updateUs = steadyUs();
-    board_.publish(snap);
     std::lock_guard<std::mutex> lock(mutex_);
     lastLeases_ = leases;
-}
-
-corpus::CampaignStatusBoard::Snapshot
-FleetCoordinator::progress() const
-{
-    return board_.read();
 }
 
 void

@@ -5,10 +5,11 @@
  * them (SIGCHLD-aware reaping via a self-pipe; a crashed worker's
  * leases return to the pool and a replacement is spawned with a fresh
  * store), and — once every lease is done — runs the deterministic
- * merge. Implements serve::FleetOpsSource so PR 7's ops server fronts
- * the whole fleet: /progress aggregates lease-committed progress,
- * /metrics folds the workers' registry dumps, /fleet lists workers
- * and leases.
+ * merge. Each lease scan sets the campaign.progress gauges in
+ * FleetOptions::metrics from the done leases, as runCheckpointed does
+ * at a checkpoint. Implements serve::FleetOpsSource so the ops server
+ * fronts the whole fleet: /metrics and /progress fold the workers'
+ * registry dumps into that registry, /fleet lists workers and leases.
  *
  * Respawned workers always get a *fresh* store (worker.<seq> with a
  * monotonically increasing seq): a dead worker's store may hold a
@@ -51,15 +52,13 @@ struct FleetOptions {
     /** Crash drill: the first spawned worker dies by SIGKILL after
      * this many chunk commits mid-lease (fork mode only). */
     uint64_t crashFirstWorkerAfterChunks = 0;
-    /** Registry for the fleet.* counters; null = none recorded. */
+    /** Registry for the fleet.* counters and the fleet-wide
+     * campaign.progress gauges; null = none recorded. */
     support::MetricsRegistry *metrics = nullptr;
     /** Fleet-wide tracing (DESIGN.md §17): persisted into PLAN.json so
      * every worker traces itself; after the run the coordinator folds
      * traces/ into mergedTracePath() with mergeTraces(). */
     bool trace = false;
-    /** Per-worker liveness cadence (metrics.jsonl), persisted into
-     * PLAN.json; 0 disables the samplers. */
-    uint64_t snapshotIntervalMs = 0;
     /** Sink for supervision log lines (worker died, lease reclaimed);
      * null = silent. */
     std::function<void(const std::string &)> logLine;
@@ -102,7 +101,6 @@ class FleetCoordinator final : public serve::FleetOpsSource {
 
     //===-- serve::FleetOpsSource --------------------------------------===//
 
-    corpus::CampaignStatusBoard::Snapshot progress() const override;
     void
     mergeWorkerMetrics(support::MetricsRegistry &into) const override;
     std::string fleetJson() const override;
@@ -118,7 +116,7 @@ class FleetCoordinator final : public serve::FleetOpsSource {
     bool initFleetDir(corpus::StoreError *error);
     bool spawnWorker(uint64_t crash_after_chunks,
                      corpus::StoreError *error);
-    void refreshBoard(const std::vector<Lease> &leases, bool active);
+    void recordScan(const std::vector<Lease> &leases);
     void log(const std::string &line) const;
 
     std::string fleetDir_;
@@ -129,11 +127,9 @@ class FleetCoordinator final : public serve::FleetOpsSource {
 
     // Shared with ops-server handler threads.
     mutable std::mutex mutex_;
-    corpus::CampaignStatusBoard board_;
     std::vector<Lease> lastLeases_;
     std::vector<WorkerProc> workers_;
     uint64_t nextWorkerSeq_ = 0;
-    uint64_t startUs_ = 0;
     uint64_t spawned_ = 0;
     uint64_t crashed_ = 0;
     uint64_t reclaimed_ = 0;

@@ -9,17 +9,10 @@ namespace dce::fleet {
 using corpus::setError;
 
 uint64_t
-FleetConfig::numChunks() const
-{
-    uint64_t chunk_size = plan.chunkSize ? plan.chunkSize : 1;
-    return (plan.count + chunk_size - 1) / chunk_size;
-}
-
-uint64_t
 FleetConfig::numLeases() const
 {
     uint64_t granule = leaseChunks ? leaseChunks : 1;
-    return (numChunks() + granule - 1) / granule;
+    return (plan.numChunks() + granule - 1) / granule;
 }
 
 std::string
@@ -65,13 +58,6 @@ workerMetricsPath(const std::string &fleet_dir,
                   const std::string &store_name)
 {
     return workerDir(fleet_dir, store_name) + "/metrics.json";
-}
-
-std::string
-workerSnapshotPath(const std::string &fleet_dir,
-                   const std::string &store_name)
-{
-    return workerDir(fleet_dir, store_name) + "/metrics.jsonl";
 }
 
 std::string
@@ -127,7 +113,6 @@ writeFleetConfig(const std::string &fleet_dir,
     writer.field("worker_checkpoint_every_chunks",
                  uint64_t(config.workerCheckpointEveryChunks));
     writer.field("trace", config.trace);
-    writer.field("snapshot_interval_ms", config.snapshotIntervalMs);
     writer.endObject();
     return corpus::writeFileAtomic(
         planPath(fleet_dir), support::sealJsonLine(writer.take()) + "\n",
@@ -162,15 +147,14 @@ readFleetConfig(const std::string &fleet_dir,
     FleetConfig config;
     config.plan = *plan;
     // Older PLAN.json files also carry lease_ttl_ms, steal_after_ms
-    // and worker_threads, now constants; those keys are ignored.
+    // and worker_threads, now constants, and snapshot_interval_ms, the
+    // cadence of a retired per-worker sampler; those keys are ignored.
     config.leaseChunks = value->getU64("lease_chunks", 1);
     config.workerCheckpointEveryChunks = unsigned(
         value->getU64("worker_checkpoint_every_chunks", 4));
     // Observability knobs arrived after v1 fleets existed; defaults
     // keep old PLAN.json files readable.
     config.trace = value->getBool("trace", false);
-    config.snapshotIntervalMs =
-        value->getU64("snapshot_interval_ms", 0);
     return config;
 }
 

@@ -49,11 +49,7 @@ struct FleetConfig {
      * own span file and folds them with mergeTraces(). Persisted so
      * fork+exec workers pick it up from PLAN.json alone. */
     bool trace = false;
-    /** Per-worker liveness cadence, JSONL sink only
-     * (worker.<seq>/metrics.jsonl); 0 disables the sampler. */
-    uint64_t snapshotIntervalMs = 0;
 
-    uint64_t numChunks() const;
     uint64_t numLeases() const;
 };
 
@@ -67,8 +63,6 @@ std::string workerStoreDir(const std::string &fleet_dir,
                            const std::string &store_name);
 std::string workerMetricsPath(const std::string &fleet_dir,
                               const std::string &store_name);
-std::string workerSnapshotPath(const std::string &fleet_dir,
-                               const std::string &store_name);
 std::string mergedStoreDir(const std::string &fleet_dir);
 /** <fleet-dir>/traces — per-process Chrome trace files. */
 std::string tracesDir(const std::string &fleet_dir);

@@ -80,7 +80,6 @@ encodeLease(const Lease &lease)
     writer.field("pid", lease.ownerPid);
     writer.field("store", lease.store);
     writer.field("claim_ms", lease.claimMs);
-    writer.field("stage_us", lease.stageUs);
     writer.key("counters");
     writer.beginArray();
     for (const auto &[key, value] : lease.counters) {
@@ -139,7 +138,8 @@ decodeLease(std::string_view text, corpus::StoreError *error,
         lease.ownerPid = pid->asI64();
     lease.store = value->getString("store");
     lease.claimMs = value->getU64("claim_ms");
-    lease.stageUs = value->getU64("stage_us");
+    // Older done leases also carry stage_us (the stage time of their
+    // chunks); the key is ignored.
     if (const support::JsonValue *counters = value->get("counters")) {
         for (const support::JsonValue &entry : counters->items)
             lease.counters.emplace_back(entry.getString("k"),
@@ -292,7 +292,6 @@ LeaseTable::claim(int64_t pid, const std::string &store,
         lease->claimMs = now;
         lease->counters.clear();
         lease->findings.clear();
-        lease->stageUs = 0;
         if (!writeLease(fleetDir_, *lease, error))
             return std::nullopt;
         setError(error, corpus::StoreStatus::Ok, "");

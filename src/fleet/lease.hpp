@@ -67,8 +67,6 @@ struct Lease {
     /** campaign.* counter deltas this lease's run contributed (sorted
      * by key; zero deltas kept so key sets match across leases). */
     std::vector<std::pair<std::string, uint64_t>> counters;
-    /** Σ campaign.stage_us{*} sums for this lease's chunks. */
-    uint64_t stageUs = 0;
     std::vector<LeaseFinding> findings;
 };
 

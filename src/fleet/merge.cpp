@@ -26,7 +26,7 @@ mergeFleet(const std::string &fleet_dir, corpus::StoreError *error)
     const corpus::CampaignPlan &plan = config->plan;
     const std::string plan_json = corpus::serializePlan(plan);
     const uint64_t chunk_size = plan.chunkSize ? plan.chunkSize : 1;
-    const uint64_t num_chunks = config->numChunks();
+    const uint64_t num_chunks = config->plan.numChunks();
 
     LeaseTable table(fleet_dir);
     std::optional<std::vector<Lease>> leases = table.list(error);

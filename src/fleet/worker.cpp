@@ -13,7 +13,6 @@
 #include "fleet/fleet.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/metrics_io.hpp"
-#include "report/liveness.hpp"
 #include "support/trace.hpp"
 
 namespace dce::fleet {
@@ -92,21 +91,6 @@ runFleetWorker(const std::string &fleet_dir,
     if (!store)
         return fail(error, "open worker store");
 
-    // Optional per-worker snapshots (worker.<seq>/metrics.jsonl):
-    // operational data, never merged into checkpointed state. The JSONL
-    // sink only — this registry never sees campaign.seeds, so a stall
-    // detector here would fire falsely.
-    std::unique_ptr<report::Liveness> liveness;
-    if (config->snapshotIntervalMs) {
-        liveness = std::make_unique<report::Liveness>(
-            report::LivenessOptions{
-                .intervalMs = config->snapshotIntervalMs,
-                .registry = &store_registry,
-                .jsonlPath = workerSnapshotPath(fleet_dir, store_name),
-                .health = false});
-        liveness->start();
-    }
-
     LeaseTable table(fleet_dir);
     // Cumulative published state: campaign.* counter deltas from
     // leases this worker *owns* (stolen completions are excluded so
@@ -179,7 +163,6 @@ runFleetWorker(const std::string &fleet_dir,
         Lease done = *lease;
         done.counters.clear();
         done.findings.clear();
-        done.stageUs = 0;
         for (const auto &[key, value] : lease_registry.counters()) {
             if (key.rfind("campaign.", 0) != 0)
                 continue;
@@ -193,11 +176,6 @@ runFleetWorker(const std::string &fleet_dir,
             // set, and the merged registry's keys match a
             // single-process run's.
             done.counters.emplace_back(key, value - base);
-        }
-        for (const auto &[key, snapshot] :
-             lease_registry.histograms()) {
-            if (key.rfind("campaign.stage_us", 0) == 0)
-                done.stageUs += snapshot.sum;
         }
         std::optional<corpus::CheckpointState> after =
             corpus::readCheckpointState(*store, &error);
@@ -241,8 +219,6 @@ runFleetWorker(const std::string &fleet_dir,
         publishMetrics(fleet_dir, store_name, dump_counters,
                        dump_hists);
     }
-    if (liveness)
-        liveness->stop();
     if (config->trace) {
         // Best-effort like the metrics dump: a lost trace costs the
         // timeline, never the run's exit status.

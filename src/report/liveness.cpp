@@ -86,19 +86,17 @@ snapshotJsonLine(const support::MetricsRegistry &registry, uint64_t seq,
 }
 
 Liveness::Liveness(LivenessOptions options)
-    : options_(std::move(options)), healthLive_(options_.health)
+    : options_(std::move(options))
 {
     if (!options_.intervalMs)
         options_.intervalMs = 500;
     if (!options_.registry)
         options_.registry = &support::MetricsRegistry::global();
-    if (options_.health) {
-        stalls_ = &options_.registry->counter("report.stalls");
-        degradations_ =
-            &options_.registry->counter("report.throughput_degraded");
-        recoveries_ =
-            &options_.registry->counter("report.throughput_recovered");
-    }
+    stalls_ = &options_.registry->counter("report.stalls");
+    degradations_ =
+        &options_.registry->counter("report.throughput_degraded");
+    recoveries_ =
+        &options_.registry->counter("report.throughput_recovered");
     advanceUs_ = now();
 }
 
@@ -116,6 +114,7 @@ Liveness::now() const
 void
 Liveness::start()
 {
+    sampling_ = true;
     thread_ = std::thread([this] { run(); });
 }
 
@@ -127,6 +126,7 @@ Liveness::stop()
         if (!thread_.joinable() || stopRequested_)
             return;
         stopRequested_ = true;
+        sampling_ = false;
         // The campaign is over: neither condition can hold any more,
         // and the final sample's rate collapse must not raise one.
         healthLive_ = false;

@@ -71,8 +71,9 @@ struct LivenessOptions {
     /** Registry to sample; null = the process global. */
     support::MetricsRegistry *registry = nullptr;
     /** Fold step run on a scratch copy of the registry before each
-     * sample — the fleet coordinator folds in every worker's latest
-     * dump and the fleet-wide findings, so the sample covers the
+     * sample — a fleet session folds in every worker's latest dump on
+     * top of the coordinator's own registry (which holds the
+     * fleet-wide campaign.progress gauges), so the sample covers the
      * fleet. Null = sample the registry directly. */
     std::function<void(support::MetricsRegistry &)> augment = nullptr;
     /** JSONL file appended to on every sample; empty = no file. */
@@ -82,9 +83,6 @@ struct LivenessOptions {
     /** Monotonic microsecond clock behind rates and stall time; null =
      * std::chrono::steady_clock. Tests inject a fake. */
     std::function<uint64_t()> clock = nullptr;
-    /** Run the health detector. Off where the registry never sees
-     * campaign.seeds (a fleet worker), which would read as a stall. */
-    bool health = true;
 };
 
 class Liveness {
@@ -105,6 +103,9 @@ class Liveness {
     support::TimeSample sampleOnce();
 
     const support::TimeSeries &series() const { return series_; }
+    /** True from start() until stop() begins: the run it watches is
+     * live. /progress reports it as `active`. */
+    bool sampling() const { return sampling_.load(); }
     bool stalled() const { return stalled_.load(); }
     bool degraded() const { return degraded_.load(); }
 
@@ -126,7 +127,7 @@ class Liveness {
     std::mutex mutex_;
     std::condition_variable wake_;
     bool stopRequested_ = false;
-    bool healthLive_ = false;
+    bool healthLive_ = true;
     // The previous sample, for the seed-rate derivative.
     bool havePrevious_ = false;
     uint64_t lastSeeds_ = 0;
@@ -140,6 +141,7 @@ class Liveness {
     double ewma_ = 0.0;
     uint64_t degradeOrdinal_ = 0;
 
+    std::atomic<bool> sampling_{false};
     std::atomic<bool> stalled_{false};
     std::atomic<bool> degraded_{false};
     std::thread thread_; ///< last: it uses every member above

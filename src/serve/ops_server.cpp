@@ -7,6 +7,7 @@
 #include "report/dossier.hpp"
 #include "report/report.hpp"
 #include "serve/dashboard.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace dce::serve {
@@ -77,6 +78,15 @@ appendLatency(support::JsonWriter &writer,
     writer.endObject();
 }
 
+uint64_t
+steadyUs()
+{
+    return uint64_t(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
 HttpResponse
 storeFailure(const corpus::StoreError &error)
 {
@@ -91,7 +101,7 @@ storeFailure(const corpus::StoreError &error)
 } // namespace
 
 OpsServer::OpsServer(OpsServerOptions options)
-    : options_(options),
+    : options_(options), startUs_(steadyUs()),
       http_(
           [this](const HttpRequest &request) {
               return handle(request);
@@ -99,7 +109,7 @@ OpsServer::OpsServer(OpsServerOptions options)
           [&options] {
               HttpServerOptions http;
               http.port = options.port;
-              http.handlerThreads = options.handlerThreads;
+              http.handlerThreads = kOpsHandlerThreads;
               http.metrics = options.metrics;
               return http;
           }())
@@ -189,26 +199,30 @@ OpsServer::handle(const HttpRequest &request)
     return HttpResponse::text(404, "not found\n");
 }
 
+const support::MetricsRegistry &
+OpsServer::view(support::MetricsRegistry &scratch) const
+{
+    const support::MetricsRegistry &registry =
+        options_.metrics ? *options_.metrics
+                         : support::MetricsRegistry::global();
+    if (!options_.fleet)
+        return registry;
+    // Coordinator mode: one view covering the whole fleet — this
+    // process's own instruments plus every worker's latest dump,
+    // folded into a per-request scratch registry so a scrape never
+    // mutates durable state.
+    scratch.merge(registry);
+    options_.fleet->mergeWorkerMetrics(scratch);
+    return scratch;
+}
+
 HttpResponse
 OpsServer::metricsEndpoint() const
 {
-    support::MetricsRegistry &registry =
-        options_.metrics ? *options_.metrics
-                         : support::MetricsRegistry::global();
+    support::MetricsRegistry scratch;
     HttpResponse response;
     response.contentType = support::kPrometheusContentType;
-    if (options_.fleet) {
-        // Coordinator mode: one exposition covering the whole fleet —
-        // this process's own instruments plus every worker's latest
-        // dump, folded into a per-request scratch registry so a
-        // scrape never mutates durable state.
-        support::MetricsRegistry merged;
-        merged.merge(registry);
-        options_.fleet->mergeWorkerMetrics(merged);
-        response.body = merged.expose();
-    } else {
-        response.body = registry.expose();
-    }
+    response.body = view(scratch).expose();
     return response;
 }
 
@@ -227,38 +241,50 @@ OpsServer::readyzEndpoint() const
 HttpResponse
 OpsServer::progressEndpoint() const
 {
-    if (!options_.status && !options_.fleet)
+    if (!options_.plan)
         return HttpResponse::text(404,
-                                  "no campaign status attached\n");
-    corpus::CampaignStatusBoard::Snapshot snap =
-        options_.status ? options_.status->read()
-                        : options_.fleet->progress();
+                                  "no campaign plan attached\n");
+    const corpus::CampaignPlan &plan = *options_.plan;
+    support::MetricsRegistry scratch;
+    const support::MetricsRegistry &registry = view(scratch);
+    auto gauge = [&registry](std::string_view label) {
+        return registry.counterValue("campaign.progress", label);
+    };
+    const uint64_t chunks_total = plan.numChunks();
+    const uint64_t completed_chunks = gauge("completed_chunks");
+    const uint64_t seeds_committed = gauge("seeds_committed");
+    uint64_t stage_us = 0;
+    uint64_t checkpoints = 0;
+    for (const auto &[key, snapshot] : registry.histograms()) {
+        if (key.rfind("campaign.stage_us", 0) == 0)
+            stage_us += snapshot.sum;
+        else if (key == "corpus.checkpoint_us")
+            checkpoints = snapshot.count;
+    }
 
-    // Pipeline rate from the committed stage time: how fast seeds
-    // clear generate+oracle+compile+analyze, independent of thread
-    // count. The ETA scales it by the worker count implied by
-    // wall-clock elapsed vs pipeline time, so it tracks actual
-    // progress rather than single-thread cost.
-    double stage_seconds = double(snap.stageUs) / 1e6;
+    // Pipeline rate from the stage time: how fast seeds clear
+    // generate+oracle+compile+analyze, independent of thread count.
+    // The ETA scales it by the worker count implied by wall-clock
+    // elapsed (since this server started) vs pipeline time, so it
+    // tracks actual progress rather than single-thread cost.
+    double stage_seconds = double(stage_us) / 1e6;
     double rate = stage_seconds > 0.0
-                      ? double(snap.seedsCommitted) / stage_seconds
+                      ? double(seeds_committed) / stage_seconds
                       : 0.0;
+    uint64_t now_us = steadyUs();
     double wall_seconds =
-        snap.updateUs > snap.startUs
-            ? double(snap.updateUs - snap.startUs) / 1e6
-            : 0.0;
-    uint64_t remaining = snap.seedsTotal > snap.seedsCommitted
-                             ? snap.seedsTotal - snap.seedsCommitted
-                             : 0;
+        now_us > startUs_ ? double(now_us - startUs_) / 1e6 : 0.0;
+    uint64_t remaining =
+        plan.count > seeds_committed ? plan.count - seeds_committed : 0;
     double parallelism =
         wall_seconds > 0.0 && stage_seconds > 0.0
             ? stage_seconds / wall_seconds
             : 1.0;
     // "ETA unknown" and "ETA zero" are different answers: with no
-    // committed pipeline time yet (rate 0) there is nothing to
-    // extrapolate from, and reporting 0.0 would make a just-started
-    // campaign read as finished. Unknown serializes as null; 0.0 is
-    // reserved for "nothing remaining".
+    // pipeline time yet (rate 0) there is nothing to extrapolate from,
+    // and reporting 0.0 would make a just-started campaign read as
+    // finished. Unknown serializes as null; 0.0 is reserved for
+    // "nothing remaining".
     bool eta_known = rate > 0.0 || remaining == 0;
     double eta_seconds =
         rate > 0.0 && remaining
@@ -268,33 +294,20 @@ OpsServer::progressEndpoint() const
 
     support::JsonWriter writer;
     writer.beginObject();
-    writer.field("active", snap.active);
-    writer.field("complete", snap.complete);
-    writer.field("plan_hash", snap.planHash);
-    writer.field("seeds_total", snap.seedsTotal);
-    writer.field("chunks_total", snap.chunksTotal);
-    writer.field("completed_chunks", snap.completedChunks);
-    writer.field("watermark", snap.watermark);
-    writer.field("seeds_committed", snap.seedsCommitted);
-    writer.field("findings", snap.findings);
-    writer.field("checkpoints", snap.checkpoints);
-    writer.field("stage_us", snap.stageUs);
-    // Latency percentiles over the live registry — fleet mode folds
-    // every worker's latest dump so the percentiles cover the whole
-    // fleet (same scratch-merge discipline as /metrics).
-    {
-        support::MetricsRegistry &registry =
-            options_.metrics ? *options_.metrics
-                             : support::MetricsRegistry::global();
-        if (options_.fleet) {
-            support::MetricsRegistry merged;
-            merged.merge(registry);
-            options_.fleet->mergeWorkerMetrics(merged);
-            appendLatency(writer, merged);
-        } else {
-            appendLatency(writer, registry);
-        }
-    }
+    writer.field("active",
+                 options_.liveness && options_.liveness->sampling());
+    writer.field("complete", completed_chunks == chunks_total);
+    writer.field("plan_hash",
+                 support::fnv1a64Hex(corpus::serializePlan(plan)));
+    writer.field("seeds_total", plan.count);
+    writer.field("chunks_total", chunks_total);
+    writer.field("completed_chunks", completed_chunks);
+    writer.field("watermark", gauge("watermark"));
+    writer.field("seeds_committed", seeds_committed);
+    writer.field("findings", gauge("findings"));
+    writer.field("checkpoints", checkpoints);
+    writer.field("stage_us", stage_us);
+    appendLatency(writer, registry);
     // Quoted decimals: the in-tree JSON reader (and the checkpoint
     // format it serves) is integer-only, and jq's `tonumber` covers
     // shell consumers.
@@ -438,14 +451,14 @@ OpsServer::eventsEndpoint(const HttpRequest &request) const
             return HttpResponse::text(
                 400, "bad request: since must be an integer\n");
     }
-    uint64_t limit = options_.eventsPageSize;
+    uint64_t limit = kEventsPageSize;
     if (std::optional<std::string> raw = request.queryParam("limit")) {
         char *end = nullptr;
         limit = std::strtoull(raw->c_str(), &end, 10);
         if (!end || *end != '\0' || limit == 0)
             return HttpResponse::text(
                 400, "bad request: limit must be a positive integer\n");
-        limit = std::min(limit, options_.eventsPageSize);
+        limit = std::min(limit, kEventsPageSize);
     }
 
     size_t total = 0;

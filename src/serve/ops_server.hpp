@@ -9,7 +9,7 @@
  *     GET /healthz        process liveness (always 200 once serving)
  *     GET /readyz         503 while the liveness pipeline reads the
  *                         campaign as stalled or degraded
- *     GET /progress       JSON checkpoint-committed progress + rates
+ *     GET /progress       JSON committed progress + rates
  *     GET /report         live campaign report, Markdown
  *     GET /report.html    the same report, rendered HTML
  *     GET /dossiers       JSON index of checkpointed findings
@@ -20,20 +20,24 @@
  *     GET /dashboard      self-contained HTML live dashboard
  *     GET /quitquitquit   request shutdown (only when enabled)
  *
- * Consistency model: every endpoint reads checkpoint-committed state
- * only. /progress serves the CampaignStatusBoard snapshot that
- * runCheckpointed publishes at each checkpoint commit (the same
- * moment the campaign.progress counters are set, so /progress and
- * /metrics agree); /report and /dossier read the store through
- * exactly the code paths writeCampaignReport uses, and the report
- * generator filters records to checkpoint-completed chunks — served
- * bytes equal the on-disk render of the same store, and in-flight
- * chunk state is never observable.
+ * Consistency model: the registry is the one source of live progress.
+ * /progress is computed on each request from the same registry view
+ * /metrics exposes (in fleet mode: this server's registry folded with
+ * every worker's latest dump) plus the pinned CampaignPlan. Its
+ * committed counts are the campaign.progress gauges, which
+ * runCheckpointed sets at each checkpoint commit and a fleet
+ * coordinator at each lease scan, so /progress and /metrics agree by
+ * construction. /report and /dossier read the store through exactly
+ * the code paths writeCampaignReport uses, and the report generator
+ * filters records to checkpoint-completed chunks — served bytes equal
+ * the on-disk render of the same store.
  *
- * The one deliberate exception is /timeseries (and the /dashboard
- * that reads it): liveness samples are wall-clock-stamped,
- * best-effort, and never checkpointed (DESIGN.md §17) — they exist to
- * answer "what is happening right now", not to replay determinism.
+ * Wall-clock data is the deliberate exception: /progress's stage time,
+ * rate and latency read the live registry (chunks committed since the
+ * last checkpoint included), and /timeseries (with the /dashboard
+ * that reads it) serves liveness samples that are best-effort and
+ * never checkpointed (DESIGN.md §17) — they answer "what is happening
+ * right now", not replay determinism.
  */
 #pragma once
 
@@ -51,22 +55,22 @@
 
 namespace dce::serve {
 
+/** HTTP handler threads of an OpsServer. */
+inline constexpr unsigned kOpsHandlerThreads = 4;
+/** Default page size of /events, and the cap on its ?limit=. */
+inline constexpr uint64_t kEventsPageSize = 256;
+
 /**
  * Aggregated multi-process view for a fleet coordinator's ops server
  * (DESIGN.md §15). The coordinator implements this; wiring it into
- * OpsServerOptions::fleet switches /progress to the fleet-wide
- * snapshot, makes /metrics fold every worker's latest registry dump
- * into the exposition, and enables GET /fleet. Implementations must
- * be thread-safe — handler threads call them concurrently with the
- * coordinator's supervision loop.
+ * OpsServerOptions::fleet makes /metrics and /progress fold every
+ * worker's latest registry dump into their view, and enables
+ * GET /fleet. Implementations must be thread-safe — handler threads
+ * call them concurrently with the coordinator's supervision loop.
  */
 class FleetOpsSource {
   public:
     virtual ~FleetOpsSource() = default;
-
-    /** Fleet-wide progress snapshot (lease-committed state). */
-    virtual corpus::CampaignStatusBoard::Snapshot
-    progress() const = 0;
 
     /** Fold every worker's latest metrics dump into @p into. */
     virtual void
@@ -79,32 +83,30 @@ class FleetOpsSource {
 struct OpsServerOptions {
     /** Loopback TCP port; 0 = ephemeral (read back via port()). */
     uint16_t port = 0;
-    unsigned handlerThreads = 4;
     /** Registry behind /metrics and the serve.* counters; null = the
      * process global. */
     support::MetricsRegistry *metrics = nullptr;
     /** Event log behind /events and dossier trajectories; null
      * disables /events (404). */
     const report::EventLog *events = nullptr;
-    /** Status board behind /progress; null disables /progress (404).
-     * Wire the same board into CheckpointRunOptions::status. */
-    const corpus::CampaignStatusBoard *status = nullptr;
+    /** The pinned plan behind /progress's totals and plan hash; null
+     * disables /progress (404). The committed counts come from the
+     * campaign.progress gauges in `metrics`. */
+    const corpus::CampaignPlan *plan = nullptr;
     /** Enable GET /quitquitquit (sets the shutdown-requested flag the
      * owner polls/waits on). Off by default: remote shutdown is a
      * deliberate opt-in for drills and --serve-wait runs. */
     bool allowRemoteShutdown = false;
-    /** Page size cap for /events (also the default page size). */
-    uint64_t eventsPageSize = 256;
     /** Fleet aggregation source (a coordinator); null = the
-     * single-process endpoints only. When set and `status` is null,
-     * /progress serves the fleet-wide snapshot, /metrics merges every
-     * worker's dump on top of this server's own registry, and /fleet
-     * serves the per-worker/per-lease detail. */
+     * single-process endpoints only. When set, /metrics and /progress
+     * merge every worker's dump on top of this server's own registry,
+     * and /fleet serves the per-worker/per-lease detail. */
     const FleetOpsSource *fleet = nullptr;
     /** Liveness pipeline behind /readyz (503 while stalled, then
-     * while degraded) and /timeseries + the /dashboard sparklines
-     * (its ring); null = always ready and /timeseries disabled (404).
-     * The owner runs it. */
+     * while degraded), /progress's `active` (while it samples) and
+     * /timeseries + the /dashboard sparklines (its ring); null =
+     * always ready, never active, and /timeseries disabled (404). The
+     * owner runs it. */
     const report::Liveness *liveness = nullptr;
 };
 
@@ -141,6 +143,11 @@ class OpsServer {
     HttpResponse handle(const HttpRequest &request);
 
   private:
+    /** The registry view behind /metrics and /progress: the options'
+     * registry (or the global), with every worker's dump folded into
+     * @p scratch in fleet mode. */
+    const support::MetricsRegistry &
+    view(support::MetricsRegistry &scratch) const;
     HttpResponse metricsEndpoint() const;
     HttpResponse readyzEndpoint() const;
     HttpResponse progressEndpoint() const;
@@ -154,6 +161,8 @@ class OpsServer {
     HttpResponse quitEndpoint();
 
     OpsServerOptions options_;
+    /** Steady-clock µs at construction: the ETA's wall-clock origin. */
+    uint64_t startUs_ = 0;
     std::atomic<corpus::CorpusStore *> store_{nullptr};
     HttpServer http_;
 

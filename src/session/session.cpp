@@ -44,7 +44,6 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
 
     support::MetricsRegistry registry;
     report::EventLog log(&registry);
-    corpus::CampaignStatusBoard board;
     corpus::CampaignPlan pinned = plan;
     // One store handle for the whole process: the campaign writes
     // through it while /report and /dossier read through it (the store
@@ -58,11 +57,6 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
         fleet_options.workerExecArgv = workerArgv;
         fleet_options.metrics = &registry;
         fleet_options.trace = !o.tracePath.empty();
-        // A forked worker inherits a multi-threaded process (the
-        // liveness sampler below), so it must not start threads of its
-        // own; only exec'd workers run a sampler.
-        fleet_options.snapshotIntervalMs =
-            workerArgv.empty() ? 0 : o.sampleMs;
         fleet_options.logLine = [](const std::string &line) {
             std::fprintf(stderr, "%s\n", line.c_str());
         };
@@ -87,26 +81,27 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
         }
     }
 
-    // A fleet's registry has only fleet.* counters; each sample folds
-    // in the workers' latest dumps and the lease-committed findings, so
-    // the series and the health behind /readyz are fleet-wide.
+    // A fleet's registry has the fleet.* counters and the
+    // coordinator's campaign.progress gauges; each sample folds in the
+    // workers' latest dumps, so the series and the health behind
+    // /readyz are fleet-wide.
     std::function<void(support::MetricsRegistry &)> fold;
     if (coordinator)
         fold = [&coordinator](support::MetricsRegistry &scratch) {
             coordinator->mergeWorkerMetrics(scratch);
-            scratch.counter("campaign.progress", "findings")
-                .add(coordinator->progress().findings);
         };
     report::Liveness liveness({.intervalMs = o.sampleMs,
                                .registry = &registry,
                                .augment = fold,
                                .jsonlPath = o.metricsPath,
                                .events = &log});
+    // /progress reports the run as active while the sampler runs:
+    // from here until right after the backend returns.
     liveness.start();
     serve::OpsServer ops({.port = o.servePort,
                           .metrics = &registry,
                           .events = coordinator ? nullptr : &log,
-                          .status = coordinator ? nullptr : &board,
+                          .plan = &pinned,
                           .allowRemoteShutdown = o.serveWait,
                           .fleet = coordinator.get(),
                           .liveness = &liveness});
@@ -148,7 +143,6 @@ Session::run(std::FILE *out, corpus::StoreError *error) const
         run_options.checkpointEveryChunks = 2;
         run_options.metrics = &registry;
         run_options.events = &log;
-        run_options.status = &board;
         if (o.mode == Mode::Run)
             run_options.haltAfterChunks = o.haltChunks;
         result = corpus::runCheckpointed(*store, pinned, run_options,

@@ -51,7 +51,7 @@ struct SessionOptions {
     /** Chrome-trace spans; a fleet traces every process and copies the
      * merged timeline here. */
     std::string tracePath = {};
-    /** Liveness cadence (under a fleet, also each exec'd worker's). */
+    /** Liveness cadence. */
     uint64_t sampleMs = 500;
     /** Add the wall-clock "Pipeline latency" report section, which is
      * NOT byte-reproducible. */
@@ -74,8 +74,7 @@ struct Session {
     corpus::CampaignPlan plan;
     SessionOptions options;
     /** How the fleet starts a worker (the fleet dir and store name are
-     * appended); empty = fork and run the worker loop in-process,
-     * without a per-worker sampler. */
+     * appended); empty = fork and run the worker loop in-process. */
     std::vector<std::string> workerArgv = {};
 
     /** Run the session, printing the summary (or a "halted after N

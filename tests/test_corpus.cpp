@@ -252,7 +252,6 @@ sealedSamples()
     EXPECT_TRUE(lease);
     if (lease) {
         lease->counters = {{"campaign.seeds_done", 16}};
-        lease->stageUs = 777;
         lease->findings = {{1, 3, 11, 4}};
         EXPECT_TRUE(table.complete(*lease));
     }

@@ -24,6 +24,9 @@
 #include "fleet/merge.hpp"
 #include "fleet/metrics_io.hpp"
 #include "report/report.hpp"
+#include "serve/ops_server.hpp"
+#include "support/hash.hpp"
+#include "support/json.hpp"
 
 namespace fs = std::filesystem;
 
@@ -149,7 +152,6 @@ TEST(Fleet, LeaseTableClaimsInOrderAndCompletes)
     EXPECT_EQ(second->index, 1u);
 
     first->counters.emplace_back("campaign.seeds_done", 6);
-    first->stageUs = 123;
     first->findings.push_back({0, 2, 99, 1});
     bool stolen = true;
     ASSERT_TRUE(table.complete(*first, &stolen, &error))
@@ -161,9 +163,36 @@ TEST(Fleet, LeaseTableClaimsInOrderAndCompletes)
     EXPECT_EQ((*leases)[0].state, LeaseState::Done);
     ASSERT_EQ((*leases)[0].counters.size(), 1u);
     EXPECT_EQ((*leases)[0].counters[0].second, 6u);
-    EXPECT_EQ((*leases)[0].stageUs, 123u);
     ASSERT_EQ((*leases)[0].findings.size(), 1u);
     EXPECT_EQ((*leases)[0].findings[0].seed, 99u);
+}
+
+TEST(Fleet, OlderDoneLeaseWithStageUsReads)
+{
+    // A done lease as written while payloads still carried stage_us.
+    TempDir dir("older_lease");
+    corpus::StoreError error;
+    ASSERT_TRUE(LeaseTable::init(dir.str(), 2, 2, &error));
+    ASSERT_TRUE(corpus::writeFileAtomic(
+        leasePath(dir.str(), 0),
+        support::sealJsonLine(
+            R"({"lease":0,"begin":0,"end":2,"epoch":1,"state":"done",)"
+            R"("pid":4242,"store":"worker.0","claim_ms":7,)"
+            R"("stage_us":123,"counters":[{"k":"campaign.seeds","v":6}],)"
+            R"("findings":[{"chunk":0,"slot":2,"seed":99,"marker":1}]})") +
+            "\n"));
+    std::optional<std::vector<Lease>> leases =
+        LeaseTable(dir.str()).list(&error);
+    ASSERT_TRUE(leases) << error.message;
+    ASSERT_EQ(leases->size(), 1u);
+    const Lease &lease = (*leases)[0];
+    EXPECT_EQ(lease.state, LeaseState::Done);
+    EXPECT_EQ(lease.store, "worker.0");
+    ASSERT_EQ(lease.counters.size(), 1u);
+    EXPECT_EQ(lease.counters[0].first, "campaign.seeds");
+    EXPECT_EQ(lease.counters[0].second, 6u);
+    ASSERT_EQ(lease.findings.size(), 1u);
+    EXPECT_EQ(lease.findings[0].seed, 99u);
 }
 
 TEST(Fleet, DeadOwnerLeaseIsStolenAndStaleCompletionFenced)
@@ -354,7 +383,9 @@ TEST(Fleet, FleetDirPinsItsPlan)
 TEST(Fleet, OlderPlanJsonWithRetiredKeysReadsAndResumes)
 {
     // fleetPlan() with 2-chunk leases, as written before lease_ttl_ms,
-    // steal_after_ms and worker_threads became constants.
+    // steal_after_ms and worker_threads became constants, by a fleet
+    // whose workers ran a 500 ms sampler (snapshot_interval_ms, since
+    // retired).
     const std::string older_plan_json =
         R"({"version":1,"plan":{"firstSeed":0,"count":18,"random":true,)"
         R"("stream":2024,"chunk":3,"builds":[{"compiler":"alpha",)"
@@ -365,7 +396,7 @@ TEST(Fleet, OlderPlanJsonWithRetiredKeysReadsAndResumes)
         R"("maxFindings":4294967295},"lease_chunks":2,)"
         R"("lease_ttl_ms":120000,"steal_after_ms":0,"worker_threads":1,)"
         R"("worker_checkpoint_every_chunks":1,"trace":false,)"
-        R"("snapshot_interval_ms":0,"c":"3fe23e48"})"
+        R"("snapshot_interval_ms":500,"c":"474c310f"})"
         "\n";
     TempDir dir("older");
     ASSERT_TRUE(corpus::writeFileAtomic(planPath(dir.str()),
@@ -390,6 +421,66 @@ TEST(Fleet, OlderPlanJsonWithRetiredKeysReadsAndResumes)
     EXPECT_EQ(corpus::summaryText(result->merged), reference_summary);
     EXPECT_EQ(renderMergedReport(result->mergedStoreDir),
               reference_report);
+    // The retired key starts no sampler.
+    EXPECT_FALSE(fs::exists(workerDir(dir.str(), "worker.0") +
+                            "/metrics.jsonl"));
+}
+
+TEST(Fleet, LiveProgressMatchesMetricsAndMerge)
+{
+    // The coordinator sets the campaign.progress gauges from its lease
+    // scans, so once the fleet is done its ops view reads complete and
+    // agrees with the merge.
+    const corpus::CampaignPlan plan = fleetPlan();
+    TempDir dir("live_progress");
+    support::MetricsRegistry registry;
+    FleetOptions options;
+    options.workers = 2;
+    options.metrics = &registry;
+    FleetCoordinator coordinator(dir.str(), plan, options);
+    corpus::StoreError error;
+    std::optional<FleetResult> result = coordinator.run(&error);
+    ASSERT_TRUE(result) << error.message;
+    const uint64_t merged_findings = result->merged.metrics->counterValue(
+        "campaign.progress", "findings");
+    EXPECT_EQ(merged_findings, result->merged.findings.size());
+
+    serve::OpsServer ops(
+        {.metrics = &registry, .plan = &plan, .fleet = &coordinator});
+    serve::HttpRequest request;
+    request.path = "/progress";
+    serve::HttpResponse response = ops.handle(request);
+    ASSERT_EQ(response.status, 200);
+    std::optional<support::JsonValue> progress =
+        support::JsonValue::parse(response.body);
+    ASSERT_TRUE(progress) << response.body;
+    EXPECT_TRUE(progress->getBool("complete")) << response.body;
+    EXPECT_FALSE(progress->getBool("active")); // no sampler attached
+    EXPECT_EQ(progress->getString("plan_hash"),
+              support::fnv1a64Hex(corpus::serializePlan(plan)));
+    EXPECT_EQ(progress->getU64("seeds_total"), plan.count);
+    EXPECT_EQ(progress->getU64("chunks_total"), plan.numChunks());
+    EXPECT_EQ(progress->getU64("completed_chunks"), plan.numChunks());
+    EXPECT_EQ(progress->getU64("watermark"), plan.numChunks());
+    EXPECT_EQ(progress->getU64("seeds_committed"), plan.count);
+    EXPECT_EQ(progress->getU64("findings"), merged_findings);
+    // Worker dumps fold in: every worker checkpoint and stage counts.
+    EXPECT_GE(progress->getU64("checkpoints"), result->leases);
+    EXPECT_GT(progress->getU64("stage_us"), 0u);
+
+    request.path = "/metrics";
+    std::string metrics = ops.handle(request).body;
+    for (const auto &[label, value] :
+         {std::pair<std::string, uint64_t>{"completed_chunks",
+                                           plan.numChunks()},
+          {"watermark", plan.numChunks()},
+          {"seeds_committed", plan.count},
+          {"findings", merged_findings}})
+        EXPECT_NE(metrics.find("campaign_progress{label=\"" + label +
+                               "\"} " + std::to_string(value) + "\n"),
+                  std::string::npos)
+            << label << "\n"
+            << metrics;
 }
 
 TEST(Fleet, MergeRefusesAnIncompleteFleet)
@@ -400,7 +491,7 @@ TEST(Fleet, MergeRefusesAnIncompleteFleet)
     config.plan = fleetPlan();
     config.leaseChunks = 3;
     ASSERT_TRUE(writeFleetConfig(dir.str(), config, &error));
-    ASSERT_TRUE(LeaseTable::init(dir.str(), config.numChunks(),
+    ASSERT_TRUE(LeaseTable::init(dir.str(), config.plan.numChunks(),
                                  config.leaseChunks, &error));
     EXPECT_FALSE(mergeFleet(dir.str(), &error));
     EXPECT_EQ(error.status, corpus::StoreStatus::IoError);

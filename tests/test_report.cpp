@@ -365,8 +365,7 @@ TEST(ReportSnapshot, AppendsParseableRegistrySamples)
     // file holds exactly the two explicit samples plus stop()'s final.
     Liveness liveness({.intervalMs = 3'600'000,
                        .registry = &registry,
-                       .jsonlPath = path,
-                       .health = false});
+                       .jsonlPath = path});
     liveness.start();
     liveness.sampleOnce();
     registry.counter("campaign.seeds").add(3);

@@ -30,6 +30,7 @@
 #include "report/report.hpp"
 #include "serve/http.hpp"
 #include "serve/ops_server.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 
@@ -363,20 +364,18 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
 
     // Halt mid-campaign: 4 of 6 chunks committed, 2 checkpoints — the
     // state a live scrape would see between checkpoints.
-    corpus::CampaignStatusBoard board;
+    const corpus::CampaignPlan plan = smallPlan();
     corpus::CheckpointRunOptions run;
     run.metrics = &registry;
-    run.status = &board;
     run.checkpointEveryChunks = 2;
     run.haltAfterChunks = 4;
-    auto result =
-        corpus::runCheckpointed(*store, smallPlan(), run, &error);
+    auto result = corpus::runCheckpointed(*store, plan, run, &error);
     ASSERT_TRUE(result) << error.message;
     ASSERT_FALSE(result->completed);
 
     OpsServerOptions options;
     options.metrics = &registry;
-    options.status = &board;
+    options.plan = &plan;
     OpsServer ops(options);
     HttpRequest request;
     request.path = "/progress";
@@ -386,8 +385,7 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
         support::JsonValue::parse(response.body);
     ASSERT_TRUE(progress);
 
-    // The board and the campaign.progress gauges are published at the
-    // same checkpoint commit, so /progress and /metrics must agree.
+    // /progress reads the campaign.progress gauges behind /metrics.
     EXPECT_EQ(progress->getU64("completed_chunks"),
               registry.counterValue("campaign.progress",
                                     "completed_chunks"));
@@ -398,11 +396,19 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
                                     "seeds_committed"));
     EXPECT_EQ(progress->getU64("findings"),
               registry.counterValue("campaign.progress", "findings"));
+    // Agreement holds by construction, so also check the numbers
+    // against the run's own result: the halt landed on a checkpoint,
+    // so every committed seed and finding is checkpointed.
+    EXPECT_EQ(progress->getU64("seeds_committed"),
+              result->campaign.metrics.seedsDone);
+    EXPECT_EQ(progress->getU64("findings"), result->findings.size());
     EXPECT_EQ(progress->getU64("completed_chunks"), 4u);
     EXPECT_EQ(progress->getU64("seeds_committed"), 12u);
     EXPECT_EQ(progress->getU64("chunks_total"), 6u);
     EXPECT_EQ(progress->getU64("seeds_total"), 18u);
     EXPECT_EQ(progress->getU64("checkpoints"), 2u);
+    EXPECT_EQ(progress->getString("plan_hash"),
+              support::fnv1a64Hex(corpus::serializePlan(plan)));
     EXPECT_FALSE(progress->getBool("active"));
     EXPECT_FALSE(progress->getBool("complete"));
 
@@ -411,9 +417,7 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
     corpus::CheckpointRunOptions resume;
     support::MetricsRegistry resumed_registry;
     resume.metrics = &resumed_registry;
-    resume.status = &board;
-    auto finished =
-        corpus::runCheckpointed(*store, smallPlan(), resume, &error);
+    auto finished = corpus::runCheckpointed(*store, plan, resume, &error);
     ASSERT_TRUE(finished) << error.message;
     ASSERT_TRUE(finished->completed);
     EXPECT_EQ(resumed_registry.counterValue("campaign.progress",
@@ -425,11 +429,15 @@ TEST(ServeOps, ProgressAgreesWithMetricsMidRun)
     EXPECT_EQ(resumed_registry.counterValue("campaign.progress",
                                             "seeds_committed"),
               18u);
-    response = ops.handle(request);
+    OpsServer resumed_ops({.metrics = &resumed_registry, .plan = &plan});
+    response = resumed_ops.handle(request);
     progress = support::JsonValue::parse(response.body);
     ASSERT_TRUE(progress);
     EXPECT_TRUE(progress->getBool("complete"));
     EXPECT_EQ(progress->getU64("completed_chunks"), 6u);
+    EXPECT_EQ(progress->getU64("seeds_committed"),
+              finished->campaign.metrics.seedsDone);
+    EXPECT_EQ(progress->getU64("findings"), finished->findings.size());
 }
 
 TEST(ServeOps, ReadyzFollowsWatchdogStallAndRecovery)
@@ -485,20 +493,22 @@ struct ServedCampaign {
         open_options.metrics = &registry;
         corpus::StoreError error;
         store = corpus::CorpusStore::open(dir, &error, open_options);
-        EXPECT_TRUE(store) << error.message;
+        if (!store) {
+            // The tests ASSERT on `store`; stop before dereferencing it.
+            ADD_FAILURE() << error.message;
+            return;
+        }
         corpus::CheckpointRunOptions run;
         run.metrics = &registry;
         run.events = &log;
-        run.status = &board;
-        auto result =
-            corpus::runCheckpointed(*store, smallPlan(), run, &error);
+        auto result = corpus::runCheckpointed(*store, plan, run, &error);
         EXPECT_TRUE(result) << error.message;
         findings = result ? result->findings.size() : 0;
 
         OpsServerOptions options;
         options.metrics = &registry;
         options.events = &log;
-        options.status = &board;
+        options.plan = &plan;
         ops = std::make_unique<OpsServer>(options);
         ops->attachStore(store.get());
     }
@@ -512,9 +522,9 @@ struct ServedCampaign {
         return ops->handle(request);
     }
 
+    const corpus::CampaignPlan plan = smallPlan();
     support::MetricsRegistry registry;
     report::EventLog log{&registry};
-    corpus::CampaignStatusBoard board;
     std::unique_ptr<corpus::CorpusStore> store;
     std::unique_ptr<OpsServer> ops;
     size_t findings = 0;
@@ -525,6 +535,7 @@ TEST(ServeOps, ReportEndpointMatchesOnDiskReport)
     TempDir dir("report");
     TempDir out("report_out");
     ServedCampaign served(dir.str());
+    ASSERT_TRUE(served.store);
 
     report::CampaignReportOptions report_options;
     report_options.html = true;
@@ -586,6 +597,7 @@ TEST(ServeOps, DossierAndEventsEndpoints)
 {
     TempDir dir("dossier");
     ServedCampaign served(dir.str());
+    ASSERT_TRUE(served.store);
     ASSERT_GT(served.findings, 0u)
         << "smallPlan must produce findings for this test";
 
@@ -717,19 +729,16 @@ TEST(ServeHttp, RequestReadSurvivesSignalsMidRequest)
 TEST(ServeOps, ProgressEtaIsNullUntilRateExistsAndZeroWhenDone)
 {
     // "ETA unknown" and "ETA zero" are different answers. A campaign
-    // with committed work remaining but no committed pipeline time
-    // yet has no rate to extrapolate: eta_seconds must be null, not
-    // 0.0 (which would read as "finished" to a dashboard).
-    corpus::CampaignStatusBoard board;
-    corpus::CampaignStatusBoard::Snapshot snap;
-    snap.active = true;
-    snap.seedsTotal = 100;
-    snap.seedsCommitted = 0;
-    snap.stageUs = 0;
-    board.publish(snap);
+    // with committed work remaining but no pipeline time yet has no
+    // rate to extrapolate: eta_seconds must be null, not 0.0 (which
+    // would read as "finished" to a dashboard).
+    corpus::CampaignPlan plan;
+    plan.count = 100;
+    support::MetricsRegistry registry;
 
     OpsServerOptions options;
-    options.status = &board;
+    options.metrics = &registry;
+    options.plan = &plan;
     OpsServer ops(options);
     HttpRequest request;
     request.method = "GET";
@@ -740,41 +749,31 @@ TEST(ServeOps, ProgressEtaIsNullUntilRateExistsAndZeroWhenDone)
               std::string::npos)
         << response.body;
 
-    // With committed rate, the ETA is a number again.
-    snap.seedsCommitted = 50;
-    snap.stageUs = 1'000'000;
-    board.publish(snap);
+    // With a rate, the ETA is a number again.
+    corpus::bumpCounterTo(registry, "campaign.progress",
+                          "seeds_committed", 50);
+    registry.histogram("campaign.stage_us", "compile").observe(1'000'000);
     response = ops.handle(request);
     EXPECT_EQ(response.body.find("\"eta_seconds\":null"),
               std::string::npos)
         << response.body;
 
     // And nothing-remaining is a true zero, not null.
-    snap.seedsCommitted = 100;
-    board.publish(snap);
+    corpus::bumpCounterTo(registry, "campaign.progress",
+                          "seeds_committed", 100);
     response = ops.handle(request);
     EXPECT_NE(response.body.find("\"eta_seconds\":\"0.000\""),
               std::string::npos)
         << response.body;
+
+    // Without a plan there is no /progress.
+    OpsServer bare({.metrics = &registry});
+    EXPECT_EQ(bare.handle(request).status, 404);
 }
 
 /** Deterministic FleetOpsSource stub for endpoint-contract tests. */
 class StubFleetSource final : public FleetOpsSource {
   public:
-    corpus::CampaignStatusBoard::Snapshot
-    progress() const override
-    {
-        corpus::CampaignStatusBoard::Snapshot snap;
-        snap.active = true;
-        snap.seedsTotal = 40;
-        snap.seedsCommitted = 10;
-        snap.chunksTotal = 8;
-        snap.completedChunks = 2;
-        snap.watermark = 2;
-        snap.stageUs = 2'000'000;
-        return snap;
-    }
-
     void
     mergeWorkerMetrics(support::MetricsRegistry &into) const override
     {
@@ -796,17 +795,27 @@ TEST(ServeOps, FleetModeAggregatesProgressMetricsAndFleet)
     StubFleetSource fleet;
     support::MetricsRegistry registry;
     registry.counter("serve.requests").add(3); // coordinator-local
+    // The gauges a coordinator sets from its lease scan.
+    corpus::bumpCounterTo(registry, "campaign.progress",
+                          "completed_chunks", 2);
+    corpus::bumpCounterTo(registry, "campaign.progress", "watermark", 2);
+    corpus::bumpCounterTo(registry, "campaign.progress",
+                          "seeds_committed", 10);
+    corpus::CampaignPlan plan;
+    plan.count = 40;
+    plan.chunkSize = 5;
 
     OpsServerOptions options;
     options.metrics = &registry;
+    options.plan = &plan;
     options.fleet = &fleet;
     OpsServer ops(options);
 
     HttpRequest request;
     request.method = "GET";
 
-    // /progress falls through to the fleet snapshot when no local
-    // status board is attached.
+    // /progress reads the coordinator's gauges and the plan, and its
+    // stage time covers the workers' dumps.
     request.path = "/progress";
     HttpResponse progress = ops.handle(request);
     ASSERT_EQ(progress.status, 200);
@@ -814,8 +823,12 @@ TEST(ServeOps, FleetModeAggregatesProgressMetricsAndFleet)
         support::JsonValue::parse(progress.body);
     ASSERT_TRUE(doc);
     EXPECT_EQ(doc->getU64("seeds_total"), 40u);
+    EXPECT_EQ(doc->getU64("chunks_total"), 8u);
     EXPECT_EQ(doc->getU64("seeds_committed"), 10u);
     EXPECT_EQ(doc->getU64("completed_chunks"), 2u);
+    EXPECT_EQ(doc->getU64("watermark"), 2u);
+    EXPECT_EQ(doc->getU64("stage_us"), 123u);
+    EXPECT_FALSE(doc->getBool("complete"));
 
     // /metrics merges the coordinator's own registry with every
     // worker dump — and the scrape is non-destructive (a second
