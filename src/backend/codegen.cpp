@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ir/cfg.hpp"
+#include "support/markers.hpp"
 #include "support/trace.hpp"
 
 namespace dce::backend {
@@ -670,6 +671,17 @@ calledSymbols(const std::string &assembly)
         pos = eol + 1;
     }
     return symbols;
+}
+
+std::set<unsigned>
+aliveMarkersInAsm(const std::string &assembly)
+{
+    std::set<unsigned> alive;
+    for (const std::string &symbol : calledSymbols(assembly)) {
+        if (auto index = support::markerIndex(symbol))
+            alive.insert(*index);
+    }
+    return alive;
 }
 
 bool

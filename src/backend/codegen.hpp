@@ -35,6 +35,10 @@ void demotePhis(ir::Module &module);
 /** All symbols that appear as direct call targets in @p assembly. */
 std::set<std::string> calledSymbols(const std::string &assembly);
 
+/** Markers whose calls survive in @p assembly: the paper's grep for
+ * `call DCEMarkerN`. */
+std::set<unsigned> aliveMarkersInAsm(const std::string &assembly);
+
 /** True if @p assembly contains a call to @p symbol. */
 bool containsCall(const std::string &assembly, const std::string &symbol);
 

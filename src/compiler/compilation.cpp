@@ -1,6 +1,5 @@
 #include "compiler/compilation.hpp"
 
-#include "backend/codegen.hpp"
 #include "support/markers.hpp"
 
 namespace dce::compiler {
@@ -25,19 +24,6 @@ survivingMarkersInIr(const ir::Module &module)
         }
     }
     return alive;
-}
-
-const std::string &
-Compilation::assembly() const
-{
-    if (!assembly_) {
-        support::MetricsRegistry &registry =
-            observers_.metrics ? *observers_.metrics
-                               : support::MetricsRegistry::global();
-        registry.counter("backend.emits").add();
-        assembly_ = backend::emitAssembly(module());
-    }
-    return *assembly_;
 }
 
 } // namespace dce::compiler

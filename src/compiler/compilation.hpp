@@ -1,18 +1,15 @@
 /**
  * @file
  * The result object of the compile-side API (DESIGN.md §13): a
- * `Compilation` owns one build's optimized module and derives its
- * artifacts lazily, memoizing each on first use.
+ * `Compilation` owns one build's optimized module and derives the
+ * paper's observable from it lazily, memoized on first use.
  *
  *  - survivingMarkers(): the alive `DCEMarkerN` set read directly from
- *    the optimized IR. This is the campaign hot path — the backend
- *    emits every call of every function with a body, so the IR walk is
- *    exactly the set an assembly grep would find, without running
- *    register allocation or formatting a single line of text.
- *  - assembly(): the backend emission, produced only when something
- *    actually needs text (dossiers, codegen-diff triage, backend
- *    tests). Each materialization bumps the `backend.emits` counter so
- *    tests can assert that a plain campaign never pays for codegen.
+ *    the optimized IR. The reference backend (src/backend, linked only
+ *    by the tests) emits every call of every function with a body, so
+ *    the IR walk is exactly the set an assembly grep would find,
+ *    without register allocation or text; IrVsAsmEquivalence checks
+ *    that equality.
  *  - error(): verification failures are part of the value. The old
  *    `Compiler::lastError()` was a `mutable` string written from
  *    `const` methods on a Compiler shared across the campaign thread
@@ -51,7 +48,8 @@ struct BuildObservers {
  * Call to a marker declaration inside any function with a body. The
  * backend emits exactly these calls (it performs no reachability
  * pruning — a dead internal function a weak global-DCE kept is still
- * emitted), so this equals aliveMarkersInAsm(emitAssembly(module)). */
+ * emitted), so this equals
+ * backend::aliveMarkersInAsm(backend::emitAssembly(module)). */
 std::set<unsigned> survivingMarkersInIr(const ir::Module &module);
 
 class Compilation {
@@ -59,10 +57,8 @@ class Compilation {
     /** An empty (moved-from / default) compilation; ok() is false. */
     Compilation() = default;
 
-    Compilation(std::unique_ptr<ir::Module> module,
-                BuildObservers observers, std::string error)
-        : module_(std::move(module)), observers_(observers),
-          error_(std::move(error))
+    Compilation(std::unique_ptr<ir::Module> module, std::string error)
+        : module_(std::move(module)), error_(std::move(error))
     {
     }
 
@@ -93,7 +89,6 @@ class Compilation {
     takeModule()
     {
         survivingMarkers_.reset();
-        assembly_.reset();
         return std::move(module_);
     }
 
@@ -106,25 +101,11 @@ class Compilation {
         return *survivingMarkers_;
     }
 
-    /**
-     * The backend emission; memoized. Forces codegen (phi demotion
-     * mutates the module, then the emitter walks it) and bumps
-     * `backend.emits` on the observers' registry (the process global
-     * when none was attached) — the laziness regression guard.
-     */
-    const std::string &assembly() const;
-
-    /** The observers this compilation was built with. */
-    support::RemarkCollector *remarks() const { return observers_.remarks; }
-    support::MetricsRegistry *metrics() const { return observers_.metrics; }
-
   private:
     std::unique_ptr<ir::Module> module_;
-    BuildObservers observers_;
     std::string error_;
     // Memoization caches — per-thread object, no synchronization.
     mutable std::optional<std::set<unsigned>> survivingMarkers_;
-    mutable std::optional<std::string> assembly_;
 };
 
 } // namespace dce::compiler

@@ -414,7 +414,7 @@ Compiler::compile(const lang::TranslationUnit &unit, bool verify_each,
 {
     std::unique_ptr<ir::Module> module = ir::lowerToIr(unit);
     std::string error = optimize(*module, verify_each, observers);
-    return Compilation(std::move(module), observers, std::move(error));
+    return Compilation(std::move(module), std::move(error));
 }
 
 Compilation
@@ -423,7 +423,7 @@ Compiler::compileLowered(const ir::Module &lowered, bool verify_each,
 {
     std::unique_ptr<ir::Module> module = ir::cloneModule(lowered);
     std::string error = optimize(*module, verify_each, observers);
-    return Compilation(std::move(module), observers, std::move(error));
+    return Compilation(std::move(module), std::move(error));
 }
 
 bool

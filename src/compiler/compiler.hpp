@@ -81,10 +81,10 @@ const CompilerSpec &spec(CompilerId id);
 /**
  * A concrete compiler build: (id, level, commit). compile() lowers a
  * checked translation unit, runs the build's pipeline, and returns a
- * Compilation — the lazy artifact cache over the optimized module
- * (surviving markers from IR, assembly on demand, errors as part of
- * the value). A Compiler carries no mutable state, so one instance is
- * safe to share across the campaign thread pool.
+ * Compilation — the optimized module with its surviving markers read
+ * from the IR on demand and errors as part of the value. A Compiler
+ * carries no mutable state, so one instance is safe to share across
+ * the campaign thread pool.
  */
 class Compiler {
   public:
@@ -104,8 +104,7 @@ class Compiler {
      * error() — the Compiler itself stays immutable.
      *
      * @param observers optional remark/metric sinks for the pipeline
-     *        run (DESIGN.md §9); also consulted by the Compilation's
-     *        lazy artifacts (`backend.emits`).
+     *        run (DESIGN.md §9).
      */
     Compilation compile(const lang::TranslationUnit &unit,
                         bool verify_each = false,

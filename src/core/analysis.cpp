@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "backend/codegen.hpp"
 #include "compiler/compilation.hpp"
 #include "ir/lowering.hpp"
 
@@ -10,17 +9,6 @@ namespace dce::core {
 
 using instrument::Instrumented;
 using instrument::markerIndex;
-
-std::set<unsigned>
-aliveMarkersInAsm(const std::string &assembly)
-{
-    std::set<unsigned> alive;
-    for (const std::string &symbol : backend::calledSymbols(assembly)) {
-        if (auto index = markerIndex(symbol))
-            alive.insert(*index);
-    }
-    return alive;
-}
 
 std::set<unsigned>
 aliveMarkers(const lang::TranslationUnit &unit,

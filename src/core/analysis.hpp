@@ -26,9 +26,6 @@
 
 namespace dce::core {
 
-/** Markers whose calls survive in @p assembly. */
-std::set<unsigned> aliveMarkersInAsm(const std::string &assembly);
-
 /**
  * Compile the instrumented unit with @p comp and return the alive
  * marker set Comp(M) — step (2)+(3) of Figure 1 for one build.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <mutex>
 
-#include "gen/mutator.hpp"
 #include "ir/lowering.hpp"
 #include "ir/verifier.hpp"
 #include "lang/printer.hpp"
@@ -287,9 +286,6 @@ processSeed(uint64_t seed, const std::vector<BuildSpec> &builds,
     Clock::time_point t0 = Clock::now();
     instrument::Instrumented prog = [&] {
         support::TraceSpan span("generate", "campaign");
-        if (options.mutator)
-            return options.mutator->makeProgram(seed,
-                                                options.generator);
         return makeProgram(seed, options.generator);
     }();
     record.markerCount = prog.markerCount();

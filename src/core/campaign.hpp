@@ -30,10 +30,6 @@
 #include "support/events.hpp"
 #include "support/metrics.hpp"
 
-namespace dce::gen {
-class Mutator;
-}
-
 namespace dce::core {
 
 /** One compiler build participating in a campaign. */
@@ -196,13 +192,6 @@ struct CampaignOptions {
      * census walks the module after every pass. */
     bool collectRemarks = false;
     gen::GenConfig generator;
-    /** Mutation-based generation: when set, each seed's program is a
-     * mutation of a corpus-store program (gen::Mutator::makeProgram)
-     * instead of a from-scratch generation; `generator` then only
-     * configures the mutator's fallback. The mutator must outlive the
-     * campaign and its pool must be frozen before the run — its
-     * determinism is what keeps the engine's record contract. */
-    const gen::Mutator *mutator = nullptr;
     /** Worker threads; 1 = serial (fully inline), 0 = one per
      * hardware thread. Thread count never changes the records. */
     unsigned threads = 1;

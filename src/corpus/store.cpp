@@ -1,8 +1,5 @@
 #include "corpus/store.hpp"
 
-#include <algorithm>
-
-#include "gen/mutator.hpp"
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -546,30 +543,6 @@ CorpusStore::getProgram(const std::string &hash, StoreError *error)
     return readPayload(it->second, "program " + hash, error);
 }
 
-std::vector<std::string>
-CorpusStore::programHashes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> hashes;
-    hashes.reserve(programs_.size());
-    for (const auto &[hash, entry] : programs_)
-        hashes.push_back(hash);
-    std::sort(hashes.begin(), hashes.end());
-    return hashes;
-}
-
-size_t
-seedMutatorPool(CorpusStore &store, gen::Mutator &mutator)
-{
-    size_t added = 0;
-    for (const std::string &hash : store.programHashes()) {
-        std::optional<std::string> text = store.getProgram(hash);
-        if (text && mutator.addToPool(*text))
-            ++added;
-    }
-    return added;
-}
-
 //===------------------------------------------------------------------===//
 // Records
 //===------------------------------------------------------------------===//
@@ -637,7 +610,7 @@ CorpusStore::putVerdict(const std::string &fingerprint,
 {
     std::string payload = serializeVerdict(verdict);
     std::lock_guard<std::mutex> lock(mutex_);
-    // Last write wins (load and compact agree): triage only re-stores
+    // Last write wins (on load too): triage only re-stores
     // a fingerprint it failed to read back, so replacing is what lets
     // a verdict with a corrupt payload be repaired on the next run
     // instead of no-oping against the damaged entry forever.
@@ -789,138 +762,6 @@ CorpusStore::flush(StoreError *error)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return flushLocked(error);
-}
-
-bool
-CorpusStore::compact(StoreError *error)
-{
-    support::TraceSpan span("corpus.compact", "corpus");
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!flushLocked(error))
-        return false;
-
-    uint64_t next = generation_ + 1;
-    std::string new_index = indexPath(dir_, next);
-    std::string new_payload = payloadPath(dir_, next);
-
-    // Rewrite live entries in a deterministic order so equal stores
-    // compact to byte-identical files.
-    std::string index_text;
-    std::string payload_text;
-    std::unordered_map<std::string, Entry> new_programs;
-    std::map<uint64_t, RecordEntry> new_records;
-    std::unordered_map<std::string, VerdictEntry> new_verdicts;
-
-    auto copyPayload = [&](const Entry &old, std::string_view what,
-                           Entry &fresh) {
-        std::optional<std::string> bytes =
-            readPayload(old, what, error);
-        if (!bytes)
-            return false;
-        fresh.offset = payload_text.size();
-        fresh.length = bytes->size();
-        fresh.payloadCrc = old.payloadCrc;
-        payload_text += *bytes;
-        return true;
-    };
-
-    std::vector<std::string> hashes;
-    hashes.reserve(programs_.size());
-    for (const auto &[hash, entry] : programs_)
-        hashes.push_back(hash);
-    std::sort(hashes.begin(), hashes.end());
-    for (const std::string &hash : hashes) {
-        Entry fresh;
-        if (!copyPayload(programs_.at(hash), "program " + hash,
-                         fresh))
-            return false;
-        support::JsonWriter writer;
-        writer.beginObject();
-        writer.field("t", "program");
-        writer.field("h", hash);
-        writer.field("off", fresh.offset);
-        writer.field("len", fresh.length);
-        writer.field("pcrc", fresh.payloadCrc);
-        writer.endObject();
-        index_text += support::sealJsonLine(writer.take());
-        index_text += '\n';
-        new_programs.emplace(hash, std::move(fresh));
-    }
-    for (const auto &[slot, entry] : recordsBySlot_) {
-        RecordEntry fresh;
-        fresh.seed = entry.seed;
-        fresh.chunk = entry.chunk;
-        fresh.programHash = entry.programHash;
-        if (!copyPayload(entry,
-                         "record slot " + std::to_string(slot),
-                         fresh))
-            return false;
-        support::JsonWriter writer;
-        writer.beginObject();
-        writer.field("t", "record");
-        writer.field("seed", fresh.seed);
-        writer.field("slot", slot);
-        writer.field("chunk", fresh.chunk);
-        writer.field("h", fresh.programHash);
-        writer.field("off", fresh.offset);
-        writer.field("len", fresh.length);
-        writer.field("pcrc", fresh.payloadCrc);
-        writer.endObject();
-        index_text += support::sealJsonLine(writer.take());
-        index_text += '\n';
-        new_records.emplace(slot, std::move(fresh));
-    }
-    std::vector<std::string> fingerprints;
-    fingerprints.reserve(verdicts_.size());
-    for (const auto &[fingerprint, entry] : verdicts_)
-        fingerprints.push_back(fingerprint);
-    std::sort(fingerprints.begin(), fingerprints.end());
-    for (const std::string &fingerprint : fingerprints) {
-        const VerdictEntry &old = verdicts_.at(fingerprint);
-        VerdictEntry fresh;
-        fresh.signature = old.signature;
-        fresh.fixed = old.fixed;
-        fresh.tests = old.tests;
-        if (!copyPayload(old, "verdict " + fingerprint, fresh))
-            return false;
-        support::JsonWriter writer;
-        writer.beginObject();
-        writer.field("t", "verdict");
-        writer.field("k", fingerprint);
-        writer.field("off", fresh.offset);
-        writer.field("len", fresh.length);
-        writer.field("pcrc", fresh.payloadCrc);
-        writer.endObject();
-        index_text += support::sealJsonLine(writer.take());
-        index_text += '\n';
-        new_verdicts.emplace(fingerprint, std::move(fresh));
-    }
-
-    if (!writeFileAtomic(new_payload, payload_text, error) ||
-        !writeFileAtomic(new_index, index_text, error))
-        return false;
-    syncDir(dir_);
-    // The MANIFEST swap is the commit point: before it, the old
-    // generation is still live; after it, the new one is.
-    if (!writeFileAtomic(dir_ + "/MANIFEST.json",
-                         manifestJson(next), error))
-        return false;
-    syncDir(dir_);
-
-    std::fclose(indexFile_);
-    std::fclose(payloadFile_);
-    indexFile_ = nullptr;
-    payloadFile_ = nullptr;
-    std::remove(indexPath(dir_, generation_).c_str());
-    std::remove(payloadPath(dir_, generation_).c_str());
-
-    generation_ = next;
-    payloadSize_ = payload_text.size();
-    programs_ = std::move(new_programs);
-    recordsBySlot_ = std::move(new_records);
-    verdicts_ = std::move(new_verdicts);
-    span.setArg("bytes", payloadSize_);
-    return openAppendHandles(error);
 }
 
 StoreStats

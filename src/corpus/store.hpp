@@ -20,8 +20,8 @@
  * unsealed tail: on open, a damaged final line (or a sealed line whose
  * payload never fully hit the disk) is dropped and the file truncated
  * back to the last durable entry; damage *before* the tail is
- * classified Corrupt and refuses the open. Rewrites (compaction,
- * checkpoints, MANIFEST) always go through temp-file-plus-rename.
+ * classified Corrupt and refuses the open. Rewrites (checkpoints,
+ * equiv state, MANIFEST) always go through temp-file-plus-rename.
  */
 #pragma once
 
@@ -141,9 +141,6 @@ class CorpusStore {
     bool hasProgram(const std::string &hash) const;
     std::optional<std::string>
     getProgram(const std::string &hash, StoreError *error = nullptr);
-    /** Every stored program hash, sorted — the deterministic listing
-     * mutation-mode campaigns seed their pool from. */
-    std::vector<std::string> programHashes() const;
 
     //===-- program records --------------------------------------------===//
 
@@ -191,11 +188,6 @@ class CorpusStore {
 
     /** fsync the index and payload files. */
     bool flush(StoreError *error = nullptr);
-
-    /** Rewrite the live entries into generation N+1 (dropping
-     * superseded record slots and dead bytes), atomically swap the
-     * MANIFEST, and delete the old generation. */
-    bool compact(StoreError *error = nullptr);
 
     StoreStats stats() const;
 
@@ -252,14 +244,6 @@ class CorpusStore {
     support::Counter *bytesWritten_ = nullptr;
     support::Histogram *checkpointUs_ = nullptr;
 };
-
-/**
- * Seed @p mutator's pool with every program in @p store, in hash
- * order (deterministic regardless of insertion history). Returns the
- * number of programs added; payloads that fail to load or parse are
- * skipped.
- */
-size_t seedMutatorPool(CorpusStore &store, gen::Mutator &mutator);
 
 /**
  * core::VerdictCache backed by a CorpusStore — the bridge that lets

@@ -665,8 +665,8 @@ applyTransform(TranslationUnit &unit, TransformKind kind, Rng &rng)
 
 namespace {
 
-/** Decorrelate the variant stream from the generator's and the
- * mutator's (all splitmix64 over campaign-derived seeds). */
+/** Decorrelate the variant stream from the generator's (both
+ * splitmix64 over campaign-derived seeds). */
 constexpr uint64_t kEquivStream = 0x6571756976786672ULL; // "equivxfr"
 
 } // namespace

@@ -1,9 +1,8 @@
 /**
  * @file
- * Canonicalization shared by every subsystem that edits program ASTs
- * and needs to re-enter the corpus pipeline: the mutation-based
- * generator (gen::Mutator) and the metamorphic variant engine
- * (equiv::deriveVariant). Both follow the same contract:
+ * Canonicalization for code that edits program ASTs and needs to
+ * re-enter the corpus pipeline — the metamorphic variant engine
+ * (equiv::deriveVariant). It follows this contract:
  *
  *   1. strip the DCEMarker calls and declarations (markers are derived
  *      data — editing around them would leave stale indices);
@@ -12,7 +11,7 @@
  *      the *canonical text* whose hash content-addresses the program.
  *
  * Keeping strip / re-instrument / hash in one place is what makes
- * "canonical" mean the same bytes everywhere: a mutator candidate and
+ * "canonical" mean the same bytes everywhere: a generated program and
  * an equivalence variant of the same marker-free program produce the
  * same canonical text, so the store's dedup and the equiv engine's
  * stale filter agree by construction.

@@ -283,9 +283,11 @@ OpsServer::progressEndpoint() const
     // "ETA unknown" and "ETA zero" are different answers: with no
     // pipeline time yet (rate 0) there is nothing to extrapolate from,
     // and reporting 0.0 would make a just-started campaign read as
-    // finished. Unknown serializes as null; 0.0 is reserved for
-    // "nothing remaining".
-    bool eta_known = rate > 0.0 || remaining == 0;
+    // finished; a halted run (held open after its stop) will not move
+    // until a resume, whatever its past rate. Unknown serializes as
+    // null; 0.0 is reserved for "nothing remaining".
+    const bool active = options_.liveness && options_.liveness->sampling();
+    bool eta_known = remaining == 0 || (active && rate > 0.0);
     double eta_seconds =
         rate > 0.0 && remaining
             ? double(remaining) /
@@ -294,8 +296,7 @@ OpsServer::progressEndpoint() const
 
     support::JsonWriter writer;
     writer.beginObject();
-    writer.field("active",
-                 options_.liveness && options_.liveness->sampling());
+    writer.field("active", active);
     writer.field("complete", completed_chunks == chunks_total);
     writer.field("plan_hash",
                  support::fnv1a64Hex(corpus::serializePlan(plan)));

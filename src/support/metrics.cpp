@@ -376,39 +376,6 @@ MetricsRegistry::dumpText() const
     return out;
 }
 
-std::string
-MetricsRegistry::dumpJson() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto &[key, counter] : counters_) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += key; // keys are code-controlled: no escaping needed
-        out += "\":";
-        out += std::to_string(counter->value());
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto &[key, histogram] : histograms_) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += key;
-        out += "\":{\"count\":";
-        out += std::to_string(histogram->count());
-        out += ",\"sum\":";
-        out += std::to_string(histogram->sum());
-        out += '}';
-    }
-    out += "}}";
-    return out;
-}
-
 void
 MetricsRegistry::merge(const MetricsRegistry &other)
 {

@@ -199,9 +199,6 @@ public:
      */
     std::string dumpText() const;
 
-    /** JSON dump: {"counters":{...},"histograms":{...}}. */
-    std::string dumpJson() const;
-
     /** Zero every instrument (references stay valid). */
     void reset();
 

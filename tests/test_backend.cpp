@@ -128,7 +128,7 @@ TEST(Backend, MarkerPreservationContract)
     )");
     ASSERT_TRUE(unit);
     Compiler comp(CompilerId::Beta, OptLevel::O3);
-    std::string assembly = comp.compile(*unit).assembly();
+    std::string assembly = emitAssembly(comp.compile(*unit).module());
     EXPECT_TRUE(containsCall(assembly, "DCEMarker0"));
     EXPECT_FALSE(containsCall(assembly, "DCEMarker1"));
 }

@@ -1,30 +1,28 @@
 /**
  * @file
  * Compilation-API tests (DESIGN.md §13): the IR-walk/assembly-grep
- * survival equivalence, artifact laziness (a plain campaign never
- * pays for codegen), error-as-value semantics, the shared-Compiler
- * thread-safety regression (the old `mutable lastError_` data race),
- * the byte-identity of campaign records across thread counts, and the
- * early-exit single-marker query against the full compile (§21).
+ * survival equivalence against the reference backend, error-as-value
+ * semantics, the shared-Compiler thread-safety regression (the old
+ * `mutable lastError_` data race), the byte-identity of campaign
+ * records across thread counts, and the early-exit single-marker query
+ * against the full compile (§21).
  */
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <thread>
 
+#include "backend/codegen.hpp"
 #include "compiler/compiler.hpp"
-#include "core/analysis.hpp"
 #include "core/campaign.hpp"
 #include "helpers.hpp"
 #include "ir/builder.hpp"
 #include "ir/clone.hpp"
 #include "ir/lowering.hpp"
-#include "support/metrics.hpp"
 
 namespace dce {
 namespace {
 
-using compiler::BuildObservers;
 using compiler::Compilation;
 using compiler::Compiler;
 using compiler::CompilerId;
@@ -69,43 +67,12 @@ TEST(Compilation, DefaultConstructedIsEmpty)
 }
 
 //===------------------------------------------------------------------===//
-// Laziness + memoization
+// IR walk == assembly grep (the fast-path contract)
 //===------------------------------------------------------------------===//
-
-TEST(Compilation, AssemblyIsLazyMemoizedAndCounted)
-{
-    auto unit = parseOk(R"(
-        void DCEMarker0(void);
-        static int a = 1;
-        int main() {
-            if (a) { DCEMarker0(); }
-            return 0;
-        }
-    )");
-    ASSERT_TRUE(unit);
-    support::MetricsRegistry registry;
-    Compiler comp(CompilerId::Beta, OptLevel::O3);
-    Compilation result = comp.compile(*unit, /*verify_each=*/false,
-                                      BuildObservers{nullptr,
-                                                     &registry});
-    ASSERT_TRUE(result.ok());
-
-    // Surviving markers come from the IR — no emission yet.
-    EXPECT_EQ(result.survivingMarkers(), std::set<unsigned>{0});
-    EXPECT_EQ(registry.counterValue("backend.emits"), 0u);
-
-    // First assembly() forces exactly one emission; the second is the
-    // memoized object.
-    const std::string &first = result.assembly();
-    EXPECT_EQ(registry.counterValue("backend.emits"), 1u);
-    const std::string &second = result.assembly();
-    EXPECT_EQ(&first, &second);
-    EXPECT_EQ(registry.counterValue("backend.emits"), 1u);
-}
 
 TEST(Compilation, SurvivalIsConsistentBeforeAndAfterEmission)
 {
-    // assembly() runs phi demotion (a module mutation), which must not
+    // Emission runs phi demotion (a module mutation), which must not
     // change the marker-call population: survivingMarkers() memoized
     // before emission equals a fresh IR walk afterwards.
     instrument::Instrumented prog = core::makeProgram(42);
@@ -113,13 +80,9 @@ TEST(Compilation, SurvivalIsConsistentBeforeAndAfterEmission)
     Compilation result = comp.compile(*prog.unit);
     ASSERT_TRUE(result.ok());
     std::set<unsigned> before = result.survivingMarkers();
-    result.assembly();
+    backend::emitAssembly(result.module());
     EXPECT_EQ(compiler::survivingMarkersInIr(result.module()), before);
 }
-
-//===------------------------------------------------------------------===//
-// IR walk == assembly grep (the fast-path contract)
-//===------------------------------------------------------------------===//
 
 class IrVsAsmEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
@@ -133,8 +96,10 @@ TEST_P(IrVsAsmEquivalence, SurvivingMarkersMatchAssemblyGrep)
             Compilation result = comp.compile(*prog.unit);
             ASSERT_TRUE(result.ok()) << comp.describe() << " seed "
                                      << seed << ": " << result.error();
-            EXPECT_EQ(result.survivingMarkers(),
-                      core::aliveMarkersInAsm(result.assembly()))
+            // Read the IR first: emission demotes phis in place.
+            const std::set<unsigned> &from_ir = result.survivingMarkers();
+            EXPECT_EQ(from_ir, backend::aliveMarkersInAsm(
+                                   backend::emitAssembly(result.module())))
                 << comp.describe() << " seed " << seed
                 << ": IR walk and assembly grep disagree";
         }
@@ -153,29 +118,8 @@ INSTANTIATE_TEST_SUITE_P(TriageSeeds, IrVsAsmEquivalence,
                          ::testing::Range<uint64_t>(200, 212));
 
 //===------------------------------------------------------------------===//
-// Campaign laziness + byte-identity across thread counts
+// Byte-identity across thread counts
 //===------------------------------------------------------------------===//
-
-TEST(Compilation, PlainCampaignNeverMaterializesAssembly)
-{
-    std::vector<core::BuildSpec> builds = {
-        {CompilerId::Alpha, OptLevel::O3, SIZE_MAX},
-        {CompilerId::Beta, OptLevel::O3, SIZE_MAX},
-    };
-    // Campaign compilations attach no metrics observer, so emissions
-    // land on the process-global registry; a campaign must not move
-    // it.
-    support::Counter &emits =
-        support::MetricsRegistry::global().counter("backend.emits");
-    uint64_t before = emits.value();
-    core::CampaignOptions options;
-    options.threads = 2;
-    core::Campaign campaign = core::runCampaign(1000, 16, builds,
-                                                options);
-    EXPECT_EQ(campaign.metrics.seedsDone, 16u);
-    EXPECT_EQ(emits.value(), before)
-        << "a plain campaign materialized assembly";
-}
 
 TEST(Compilation, RecordsIdenticalAcrossThreads)
 {

@@ -3,6 +3,7 @@
  * (Figure 2 / Listing 5), campaigns, reduction, bisection, triage. */
 #include <gtest/gtest.h>
 
+#include "backend/codegen.hpp"
 #include "bisect/bisect.hpp"
 #include "core/campaign.hpp"
 #include "core/triage.hpp"
@@ -25,7 +26,7 @@ TEST(Core, AliveMarkersInAsmParsesCalls)
                            "\tmovq %rax, %rcx\n"
                            "\tcall helper2\n"
                            "\tcall DCEMarker17\n";
-    std::set<unsigned> alive = aliveMarkersInAsm(assembly);
+    std::set<unsigned> alive = backend::aliveMarkersInAsm(assembly);
     EXPECT_EQ(alive, (std::set<unsigned>{0, 17}));
 }
 

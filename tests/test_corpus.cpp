@@ -481,6 +481,15 @@ TEST(Corpus, StoreRoundTripsAcrossReopen)
         EXPECT_TRUE(store->flush());
     }
 
+    // The store only creates generation 0, but MANIFEST.json may name
+    // any: move the files to generation 1 by hand and the store must
+    // open, read and append there.
+    fs::rename(dir.str() + "/index.0.jsonl", dir.str() + "/index.1.jsonl");
+    fs::rename(dir.str() + "/payload.0.dat", dir.str() + "/payload.1.dat");
+    writeFile(dir.str() + "/MANIFEST.json",
+              "{\"version\":" + std::to_string(kFormatVersion) +
+                  ",\"generation\":1}\n");
+
     StoreError error;
     auto store = CorpusStore::open(dir.str(), &error, options);
     ASSERT_TRUE(store) << error.message;
@@ -507,6 +516,10 @@ TEST(Corpus, StoreRoundTripsAcrossReopen)
     EXPECT_EQ(stats.records, campaign.programs.size());
     EXPECT_EQ(stats.verdicts, 1u);
     EXPECT_EQ(stats.recoveredLines, 0u);
+    EXPECT_EQ(stats.generation, 1u);
+    EXPECT_TRUE(store->putProgram("h-new", "int y;\n"));
+    EXPECT_TRUE(store->flush());
+    EXPECT_FALSE(fs::exists(dir.str() + "/index.0.jsonl"));
 }
 
 TEST(Corpus, DuplicateProgramsCountAsDedupHits)
@@ -665,9 +678,6 @@ TEST(Corpus, CorruptVerdictPayloadIsRepairedByRePut)
     std::optional<core::CachedVerdict> got = store->getVerdict("fp-r");
     ASSERT_TRUE(got);
     EXPECT_EQ(got->signature, "sig-r");
-    // ...unblocks compaction, which previously died on the dead
-    // blob...
-    ASSERT_TRUE(store->compact(&error)) << error.message;
     EXPECT_EQ(store->stats().verdicts, 1u);
     ASSERT_TRUE(store->flush());
     store.reset();
@@ -812,56 +822,6 @@ TEST(Corpus, BadFormatVersionIsRefused)
     StoreError error;
     EXPECT_FALSE(CorpusStore::open(dir.str(), &error));
     EXPECT_EQ(error.status, StoreStatus::BadVersion);
-}
-
-//===------------------------------------------------------------------===//
-// Compaction
-//===------------------------------------------------------------------===//
-
-TEST(Corpus, CompactionDropsDeadBytesAndPreservesContent)
-{
-    TempDir dir("compact");
-    core::CampaignOptions campaign_options;
-    campaign_options.computePrimary = true;
-    core::Campaign campaign = core::runCampaign(
-        30, 2, {alphaO3(), betaO3()}, campaign_options);
-
-    StoreError error;
-    auto store = CorpusStore::open(dir.str(), &error);
-    ASSERT_TRUE(store) << error.message;
-    store->putProgram("p0", "int a;\n");
-    // Slot 0 is written three times; only the last survives compaction.
-    store->putRecord(campaign.programs[0], 0, 0, "p0");
-    store->putRecord(campaign.programs[0], 0, 0, "p0");
-    store->putRecord(campaign.programs[1], 0, 0, "p0");
-    core::CachedVerdict verdict;
-    verdict.signature = "s";
-    store->putVerdict("fp", verdict);
-
-    uint64_t bytes_before = store->stats().bytes;
-    ASSERT_TRUE(store->compact(&error)) << error.message;
-    StoreStats stats = store->stats();
-    EXPECT_EQ(stats.generation, 1u);
-    EXPECT_LT(stats.bytes, bytes_before);
-    EXPECT_FALSE(fs::exists(dir.str() + "/index.0.jsonl"));
-    EXPECT_FALSE(fs::exists(dir.str() + "/payload.0.dat"));
-
-    // Content survives the compaction and a reopen.
-    std::vector<StoredRecord> records = store->loadRecords(&error);
-    ASSERT_EQ(records.size(), 1u) << error.message;
-    EXPECT_TRUE(records[0].record == campaign.programs[1]);
-    store.reset();
-    store = CorpusStore::open(dir.str(), &error);
-    ASSERT_TRUE(store) << error.message;
-    EXPECT_EQ(store->stats().generation, 1u);
-    EXPECT_EQ(store->getProgram("p0").value_or(""), "int a;\n");
-    records = store->loadRecords(&error);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_TRUE(records[0].record == campaign.programs[1]);
-    ASSERT_TRUE(store->getVerdict("fp"));
-    // The store stays writable in the new generation.
-    EXPECT_TRUE(store->putProgram("p1", "int b;\n"));
-    EXPECT_TRUE(store->flush());
 }
 
 //===------------------------------------------------------------------===//

@@ -1,9 +1,13 @@
 /** @file Property tests for the random program generator: validity,
- * determinism, termination, and dead-code abundance. */
+ * determinism, termination, and dead-code abundance; and the marker
+ * stripping of gen/canon. */
 #include <gtest/gtest.h>
 
+#include "corpus/serialize.hpp"
+#include "gen/canon.hpp"
 #include "gen/generator.hpp"
 #include "helpers.hpp"
+#include "instrument/instrument.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/lowering.hpp"
 #include "lang/parser.hpp"
@@ -85,6 +89,43 @@ TEST(Gen, ConfigControlsShape)
     EXPECT_LT(unit->globals.size(), 15u);
     // main plus the fixed tiny-helper gadget.
     EXPECT_EQ(unit->functions.size(), 2u);
+}
+
+/** The store's content-address input for @p seed. */
+std::string
+canonicalText(uint64_t seed)
+{
+    return corpus::canonicalProgramText(seed, {});
+}
+
+TEST(Canon, StripMarkersRemovesCallsAndDeclarations)
+{
+    std::string text = canonicalText(3);
+    ASSERT_NE(text.find("DCEMarker"), std::string::npos);
+    DiagnosticEngine diags;
+    auto unit = lang::parseAndCheck(text, diags);
+    ASSERT_TRUE(unit);
+    gen::stripMarkers(*unit);
+    std::string stripped = lang::printUnit(*unit);
+    EXPECT_EQ(stripped.find("DCEMarker"), std::string::npos)
+        << stripped;
+    // The stripped program still parses and checks.
+    DiagnosticEngine diags2;
+    EXPECT_TRUE(lang::parseAndCheck(stripped, diags2));
+}
+
+TEST(Canon, StripThenInstrumentRoundTripsCanonically)
+{
+    // Stripping an instrumented program and re-instrumenting must give
+    // back the identical canonical text — that is what makes the stale
+    // filter sound (an edit-free round trip hashes into the pool).
+    std::string text = canonicalText(5);
+    DiagnosticEngine diags;
+    auto unit = lang::parseAndCheck(text, diags);
+    ASSERT_TRUE(unit);
+    gen::stripMarkers(*unit);
+    instrument::Instrumented again = instrument::instrumentUnit(*unit);
+    EXPECT_EQ(lang::printUnit(*again.unit), text);
 }
 
 } // namespace

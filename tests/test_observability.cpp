@@ -495,8 +495,6 @@ TEST(Metrics, ConcurrentUpdatesKeepExactTotals)
     std::string text = registry.dumpText();
     EXPECT_NE(text.find("test.labeled{even}"), std::string::npos);
     EXPECT_NE(text.find("test.shared"), std::string::npos);
-    EXPECT_TRUE(JsonChecker(registry.dumpJson()).valid())
-        << registry.dumpJson();
 
     registry.reset();
     EXPECT_EQ(shared.value(), 0u); // references survive reset

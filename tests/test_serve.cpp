@@ -735,10 +735,16 @@ TEST(ServeOps, ProgressEtaIsNullUntilRateExistsAndZeroWhenDone)
     corpus::CampaignPlan plan;
     plan.count = 100;
     support::MetricsRegistry registry;
+    // A live run, as a session attaches one; the long cadence keeps
+    // the sampler thread from sampling during the test.
+    report::Liveness liveness({.intervalMs = 600'000,
+                               .registry = &registry});
+    liveness.start();
 
     OpsServerOptions options;
     options.metrics = &registry;
     options.plan = &plan;
+    options.liveness = &liveness;
     OpsServer ops(options);
     HttpRequest request;
     request.method = "GET";
@@ -758,7 +764,17 @@ TEST(ServeOps, ProgressEtaIsNullUntilRateExistsAndZeroWhenDone)
               std::string::npos)
         << response.body;
 
-    // And nothing-remaining is a true zero, not null.
+    // A halted run held open (--serve-wait) will not move until a
+    // resume: its past rate predicts nothing, so the ETA is unknown.
+    liveness.stop();
+    response = ops.handle(request);
+    EXPECT_NE(response.body.find("\"active\":false"), std::string::npos)
+        << response.body;
+    EXPECT_NE(response.body.find("\"eta_seconds\":null"),
+              std::string::npos)
+        << response.body;
+
+    // And nothing-remaining is a true zero, not null, live or not.
     corpus::bumpCounterTo(registry, "campaign.progress",
                           "seeds_committed", 100);
     response = ops.handle(request);
